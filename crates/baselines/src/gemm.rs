@@ -1,17 +1,12 @@
-//! SGEMM for the baseline convolutions — a thin re-export of `iwino-gemm`.
-//!
-//! The blocked kernel used to live here as a broadcast-row scheme (for each
-//! row of `A`, FMA `a[i][k] · B[k][:]` into `C[i][:]`); it is now the
-//! packed, register-blocked Goto-style GEMM in [`iwino_gemm`], shared with
-//! core's Γ-boundary remainder. Only [`sgemm_naive`] — the test reference —
-//! still lives in this crate.
+//! The SGEMM test reference. The blocked kernel itself is the packed,
+//! register-blocked Goto-style GEMM in `iwino-gemm`, shared by the baseline
+//! convolutions, the indirect GEMM and core's Γ-boundary remainder; only
+//! [`sgemm_naive`] lives here.
 //!
 //! The packed kernel fixed a semantic bug the old broadcast-row loop had:
 //! it skipped `a[i][k] == 0.0` terms, silently dropping `0·∞ = NaN` and
 //! `0·NaN = NaN` contributions (and flipping signed-zero results). The
 //! `nonfinite_inputs_match_naive` proptest below pins the agreement.
-
-pub use iwino_gemm::{sgemm, sgemm_acc};
 
 /// Naive reference for testing: left-to-right ascending-`k` accumulation,
 /// one rounding per multiply and per add. The packed GEMM performs exactly
@@ -31,6 +26,7 @@ pub fn sgemm_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iwino_gemm::{sgemm, sgemm_acc};
     use proptest::prelude::*;
 
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {

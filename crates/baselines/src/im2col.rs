@@ -1,5 +1,8 @@
-//! im2col + GEMM convolution with precomputed gather indices — the stand-in
-//! for cuDNN's `Implicit_Precomp_GEMM`, in both NHWC and NCHW layouts.
+//! im2col + GEMM convolution with precomputed gather indices, NCHW — the
+//! figure runner's stand-in for cuDNN's `Implicit_Precomp_GEMM` in the NCHW
+//! layout. (The NHWC series runs the engine's indirect GEMM,
+//! `iwino-indirect`, which replaces the materialised patch matrix with an
+//! offset table.)
 //!
 //! The "precomp" part mirrors cuDNN: the mapping from patch coordinates to
 //! input offsets (including the padding validity masks) is computed once per
@@ -8,11 +11,10 @@
 //! buffer, never as a full `GM×GK` matrix in memory, so the algorithm is as
 //! memory-efficient as the fused kernels it is compared against (§6.1.1).
 
-use crate::scratch::{AllocScratch, ScratchProvider};
-use iwino_gemm::{sgemm_prepacked, sgemm_scratch, PackedB};
+use iwino_gemm::{sgemm_scratch, AllocScratch, ScratchProvider};
 use iwino_obs as obs;
 use iwino_parallel as par;
-use iwino_tensor::{transpose_filter_to_hwio, ConvShape, Tensor4};
+use iwino_tensor::{ConvShape, Tensor4};
 
 /// Precomputed index maps for one convolution shape.
 ///
@@ -54,89 +56,10 @@ impl Im2colPlan {
     }
 }
 
-/// im2col + GEMM convolution, NHWC. `x` is `N×IH×IW×IC`, `w` is the native
-/// `OC×FH×FW×IC` filter; output `N×OH×OW×OC`.
-pub fn im2col_conv_nhwc(x: &Tensor4<f32>, w: &Tensor4<f32>, plan: &Im2colPlan) -> Tensor4<f32> {
-    // GEMM right operand: W reshaped to (FH·FW·IC) × OC — the transposed
-    // filter layout (§5.1) flattens to exactly this.
-    let wmat = transpose_filter_to_hwio(w);
-    im2col_conv_nhwc_pretransposed(x, &wmat, plan, &AllocScratch)
-}
-
-/// [`im2col_conv_nhwc`] with the filter already in `FH×FW×IC×OC` (HWIO)
-/// layout and all temporaries drawn from `scratch`. Packs the flattened
-/// `K×OC` filter once, then delegates to [`im2col_conv_nhwc_packed`].
-pub fn im2col_conv_nhwc_pretransposed(
-    x: &Tensor4<f32>,
-    wmat: &Tensor4<f32>,
-    plan: &Im2colPlan,
-    scratch: &dyn ScratchProvider,
-) -> Tensor4<f32> {
-    let s = plan.shape;
-    assert_eq!(wmat.dims(), [s.fh, s.fw, s.ic, s.oc], "wmat must be HWIO");
-    let pb = PackedB::pack(s.fh * s.fw * s.ic, s.oc, wmat.as_slice());
-    im2col_conv_nhwc_packed(x, &pb, plan, scratch)
-}
-
-/// [`im2col_conv_nhwc`] against a filter already packed into GEMM panels.
-/// This is the serving-engine entry point: the engine's plan caches the
-/// [`PackedB`] (cuDNN's "precomp" covers the filter too) and its arena
-/// recycles the patch and panel buffers, so steady-state calls do no heap
-/// allocation here.
-pub fn im2col_conv_nhwc_packed(
-    x: &Tensor4<f32>,
-    pb: &PackedB,
-    plan: &Im2colPlan,
-    scratch: &dyn ScratchProvider,
-) -> Tensor4<f32> {
-    let s = plan.shape;
-    assert_eq!(x.dims(), s.x_dims());
-    assert_eq!(pb.k(), s.fh * s.fw * s.ic, "packed filter K mismatch");
-    assert_eq!(pb.n(), s.oc, "packed filter OC mismatch");
-    let _b = obs::span(obs::Stage::Baseline);
-    obs::add(obs::Counter::Flops, s.flops() as u64);
-    let (oh, ow) = (s.oh(), s.ow());
-    let k = s.fh * s.fw * s.ic;
-
-    let mut y = Tensor4::<f32>::zeros(s.y_dims());
-    let row_elems = ow * s.oc;
-    let xs = x.as_slice();
-    let parts = par::SliceParts::new(y.as_mut_slice(), row_elems);
-    par::parallel_for(s.n * oh, &|row| {
-        let out = parts.take(row);
-        let b = row / oh;
-        let oy = row % oh;
-        // Gather the OW × K patch matrix for this output row.
-        let mut patch = scratch.checkout(ow * k);
-        let x_img = &xs[b * s.ih * s.iw * s.ic..(b + 1) * s.ih * s.iw * s.ic];
-        for ox in 0..ow {
-            let dst_row = &mut patch[ox * k..(ox + 1) * k];
-            for fh in 0..s.fh {
-                let Some(iy) = plan.row_map[oy * s.fh + fh] else {
-                    continue;
-                };
-                for fw in 0..s.fw {
-                    let Some(ix) = plan.col_map[ox * s.fw + fw] else {
-                        continue;
-                    };
-                    let src = &x_img[(iy * s.iw + ix) * s.ic..(iy * s.iw + ix + 1) * s.ic];
-                    let d0 = (fh * s.fw + fw) * s.ic;
-                    dst_row[d0..d0 + s.ic].copy_from_slice(src);
-                }
-            }
-        }
-        // out[OW × OC] = patch[OW × K] · W[K × OC]. Runs serially here
-        // (we are inside a pool worker), which is the intent.
-        sgemm_prepacked(ow, &patch, pb, out, false, scratch);
-        scratch.give_back(patch);
-    });
-    y
-}
-
 /// im2col + GEMM convolution, NCHW. `x` is `N×IC×IH×IW`, `w` is `OC×IC×FH×FW`
-/// (OIHW); output `N×OC×OH×OW`. Functionally identical to the NHWC variant;
-/// exists so the benchmark harness can compare the two layouts' gather
-/// behaviour like the paper compares `Implicit_Precomp_GEMM` in both formats.
+/// (OIHW); output `N×OC×OH×OW`. Exists so the benchmark harness can compare
+/// the two layouts' gather behaviour like the paper compares
+/// `Implicit_Precomp_GEMM` in both formats.
 pub fn im2col_conv_nchw(x: &Tensor4<f32>, w: &Tensor4<f32>, plan: &Im2colPlan) -> Tensor4<f32> {
     im2col_conv_nchw_scratch(x, w, plan, &AllocScratch)
 }
@@ -211,32 +134,13 @@ mod tests {
     use crate::direct::direct_conv;
     use iwino_tensor::{max_mixed_error, nhwc_to_nchw};
 
-    fn oihw_from_ohwi(w: &Tensor4<f32>) -> Tensor4<f32> {
-        let [oc, fh, fw, ic] = w.dims();
-        let mut out = Tensor4::zeros([oc, ic, fh, fw]);
-        for o in 0..oc {
-            for h in 0..fh {
-                for x in 0..fw {
-                    for i in 0..ic {
-                        *out.at_mut(o, i, h, x) = w.at(o, h, x, i);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn check_both(s: &ConvShape, seed: u64) {
+    fn check_nchw(s: &ConvShape, seed: u64) {
         let x = Tensor4::<f32>::random(s.x_dims(), seed, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), seed + 1, -1.0, 1.0);
         let want = direct_conv(&x, &w, s);
         let plan = Im2colPlan::new(s);
-
-        let got = im2col_conv_nhwc(&x, &w, &plan);
-        let e = max_mixed_error(&got, &want);
-        assert!(e < 1e-4, "nhwc {s:?}: {e}");
-
-        let got_nchw = im2col_conv_nchw(&nhwc_to_nchw(&x), &oihw_from_ohwi(&w), &plan);
+        // OHWI → OIHW is the same axis permutation as NHWC → NCHW.
+        let got_nchw = im2col_conv_nchw(&nhwc_to_nchw(&x), &nhwc_to_nchw(&w), &plan);
         let want_nchw = nhwc_to_nchw(&want);
         let e = max_mixed_error(&got_nchw, &want_nchw);
         assert!(e < 1e-4, "nchw {s:?}: {e}");
@@ -244,24 +148,24 @@ mod tests {
 
     #[test]
     fn matches_direct_small() {
-        check_both(&ConvShape::square(2, 8, 3, 5, 3), 10);
+        check_nchw(&ConvShape::square(2, 8, 3, 5, 3), 10);
     }
 
     #[test]
     fn matches_direct_even_filter() {
-        check_both(&ConvShape::square(1, 9, 4, 4, 2), 11);
-        check_both(&ConvShape::square(1, 9, 4, 4, 4), 12);
+        check_nchw(&ConvShape::square(1, 9, 4, 4, 2), 11);
+        check_nchw(&ConvShape::square(1, 9, 4, 4, 4), 12);
     }
 
     #[test]
     fn matches_direct_large_filter() {
-        check_both(&ConvShape::square(1, 12, 2, 3, 7), 13);
-        check_both(&ConvShape::square(1, 12, 2, 3, 9), 14);
+        check_nchw(&ConvShape::square(1, 12, 2, 3, 7), 13);
+        check_nchw(&ConvShape::square(1, 12, 2, 3, 9), 14);
     }
 
     #[test]
     fn matches_direct_no_padding() {
-        check_both(&ConvShape::unit(2, 6, 10, 3, 4, 3, 3, 0, 0), 15);
+        check_nchw(&ConvShape::unit(2, 6, 10, 3, 4, 3, 3, 0, 0), 15);
     }
 
     #[test]
@@ -271,7 +175,7 @@ mod tests {
             sw: 2,
             ..ConvShape::square(1, 11, 3, 4, 3)
         };
-        check_both(&s, 16);
+        check_nchw(&s, 16);
     }
 
     #[test]
@@ -281,8 +185,8 @@ mod tests {
         for seed in [20, 21] {
             let x = Tensor4::<f32>::random(s.x_dims(), seed, -1.0, 1.0);
             let w = Tensor4::<f32>::random(s.w_dims(), seed + 5, -1.0, 1.0);
-            let got = im2col_conv_nhwc(&x, &w, &plan);
-            let want = direct_conv(&x, &w, &s);
+            let got = im2col_conv_nchw(&nhwc_to_nchw(&x), &nhwc_to_nchw(&w), &plan);
+            let want = nhwc_to_nchw(&direct_conv(&x, &w, &s));
             assert!(max_mixed_error(&got, &want) < 1e-4);
         }
     }

@@ -7,9 +7,10 @@
 //!   "have similar performance to the forward kernels", §5.1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use iwino_baselines::{sgemm, sgemm_naive};
+use iwino_baselines::sgemm_naive;
 use iwino_core::plan::{default_kernel_prefs, SegmentPlan};
-use iwino_core::{conv2d, deconv2d};
+use iwino_core::{conv2d, deconv2d, ConvOptions};
+use iwino_gemm::sgemm;
 use iwino_tensor::{ConvShape, Tensor4};
 use iwino_transforms::WinogradTransform;
 
@@ -98,8 +99,9 @@ fn deconv_vs_conv(c: &mut Criterion) {
     let dy = Tensor4::<f32>::random(s.y_dims(), 3, -1.0, 1.0);
     let mut group = c.benchmark_group("conv-vs-deconv");
     group.sample_size(20);
-    group.bench_function("forward", |b| b.iter(|| conv2d(&x, &w, &s)));
-    group.bench_function("backward-data", |b| b.iter(|| deconv2d(&dy, &w, &s)));
+    let opts = ConvOptions::default();
+    group.bench_function("forward", |b| b.iter(|| conv2d(&x, &w, &s, &opts).unwrap()));
+    group.bench_function("backward-data", |b| b.iter(|| deconv2d(&dy, &w, &s, &opts).unwrap()));
     group.finish();
 }
 

@@ -1,14 +1,15 @@
 //! Criterion benches for the Experiment 1 panels (Figures 8/9).
 //!
 //! One representative (batch-scaled) shape per panel, comparing the Γ
-//! kernel against the im2col-GEMM baselines — the full ten-shape sweeps
+//! kernel against the indirect-GEMM baseline — the full ten-shape sweeps
 //! live in `repro fig8` / `repro fig9`. Throughput is reported in
 //! elements/s of the ofms so criterion's charts read like the figures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use iwino_baselines::{im2col_conv_nhwc, winograd2d_conv, Im2colPlan};
+use iwino_baselines::winograd2d_conv;
 use iwino_bench::{scale_batch, FIG8};
-use iwino_core::{conv2d_opts, ConvOptions};
+use iwino_core::{conv2d, ConvOptions};
+use iwino_indirect::indirect_conv;
 use iwino_tensor::{ConvShape, Tensor4};
 
 fn panel_benches(c: &mut Criterion) {
@@ -33,12 +34,11 @@ fn panel_benches(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("im2col-winograd", format!("{spec}")),
                 &shape,
-                |b, s| b.iter(|| conv2d_opts(&x, &w, s, &opts)),
+                |b, s| b.iter(|| conv2d(&x, &w, s, &opts).unwrap()),
             );
         }
-        let plan = Im2colPlan::new(&shape);
-        group.bench_with_input(BenchmarkId::new("im2col-gemm", "nhwc"), &shape, |b, _| {
-            b.iter(|| im2col_conv_nhwc(&x, &w, &plan))
+        group.bench_with_input(BenchmarkId::new("im2col-indirect", "nhwc"), &shape, |b, s| {
+            b.iter(|| indirect_conv(&x, &w, s))
         });
         if panel.fused_winograd {
             group.bench_with_input(BenchmarkId::new("fused-winograd-2d", "F(2x2,3x3)"), &shape, |b, s| {

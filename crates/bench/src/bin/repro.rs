@@ -5,8 +5,8 @@
 //! `repro_results/`.
 
 use iwino_bench::{
-    bench_backend_rates, bench_gemm_rates, bench_stage_rates, gemm_bench_cases, indirect_bench_cases, run_accuracy,
-    run_histogram, run_panel, speedups, stage_bench_cases, validate_stage_model, PanelResult, FIG8, FIG9, TABLE3,
+    bench_backend_rates, bench_stage_rates, gemm_bench_cases, run_accuracy, run_histogram, run_panel, speedups,
+    stage_bench_cases, validate_stage_model, PanelResult, FIG8, FIG9, TABLE3,
 };
 use iwino_core::{GammaSpec, Variant};
 use iwino_gpu_sim::model::{Algorithm, Layout};
@@ -121,7 +121,7 @@ fn main() {
                  ablation-transforms|all> \
                  [--full] [--sim-only] [--engine] [--force-scalar] [--metrics <path.json>] [--out <path.json>] \
                  [--baseline <path.json>] [--force]\n\
-                 \n  repro bench-stages [winograd|gemm|indirect] [--backend <name>]   per-stage rate sweep\
+                 \n  repro bench-stages [winograd|gemm]   per-stage rate sweep\
                  \n  repro trace [<case-label>] [--out trace.json] [--reps N]   flight-recorder capture\
                  \n  repro bench-compare <baseline.json> <after.json> [--max-regression <pct>] [--force]\
                  \n  repro serve-bench [--out serve.json] [--requests N] [--rate R] [--max-batch B] \
@@ -370,7 +370,7 @@ fn positional_args(args: &[String]) -> Vec<String> {
     while i < args.len() {
         match args[i].as_str() {
             "--metrics" | "--out" | "--baseline" | "--reps" | "--max-regression" | "--requests" | "--rate"
-            | "--max-batch" | "--workers" | "--seed" | "--backend" => i += 2,
+            | "--max-batch" | "--workers" | "--seed" => i += 2,
             a if a.starts_with("--") => i += 1,
             a => {
                 pos.push(a.to_string());
@@ -393,28 +393,18 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 fn bench_stages(args: &[String], mode: &Mode) {
     let via_engine = args.iter().any(|a| a == "--engine");
     // Optional positional case-set filter: `winograd` runs only the Γ stage
-    // cases, `gemm` only the im2col-GEMM sweep (the BENCH_pr9_* document),
-    // `indirect` the small-OW/strided frontier sweep (the BENCH_pr10_*
-    // document); no filter runs the winograd + gemm sets into one document.
+    // cases, `gemm` only the GEMM-class sweep through `im2col-indirect`; no
+    // filter runs both sets into one document.
     let set = positional_args(args).into_iter().next();
-    let (run_winograd, run_gemm, run_indirect) = match set.as_deref() {
-        None => (true, true, false),
-        Some("winograd") => (true, false, false),
-        Some("gemm") => (false, true, false),
-        Some("indirect") => (false, false, true),
+    let (run_winograd, run_gemm) = match set.as_deref() {
+        None => (true, true),
+        Some("winograd") => (true, false),
+        Some("gemm") => (false, true),
         Some(other) => {
-            eprintln!("error: unknown bench-stages case set {other:?} (expected winograd|gemm|indirect)");
+            eprintln!("error: unknown bench-stages case set {other:?} (expected winograd|gemm)");
             std::process::exit(2);
         }
     };
-    // `--backend <name>`: which registry backend drives the `indirect` case
-    // set. The default measures the indirect path itself; the committed
-    // baseline arm re-runs the same shapes through `im2col-gemm-nhwc`.
-    let indirect_backend = flag_value(args, "--backend").unwrap_or("im2col-indirect").to_string();
-    if flag_value(args, "--backend").is_some() && !run_indirect {
-        eprintln!("error: --backend only applies to the `indirect` case set");
-        std::process::exit(2);
-    }
     println!("\n==== bench-stages: per-stage effective GFLOP/s ====");
     println!("(gflops = whole-run paper-convention FLOPs / time attributed to the stage;");
     println!(" the ratio of a stage's gflops across two commits is that stage's speedup)");
@@ -463,12 +453,7 @@ fn bench_stages(args: &[String], mode: &Mode) {
     }
     if run_gemm {
         for case in gemm_bench_cases() {
-            report(&bench_gemm_rates(&case, reps));
-        }
-    }
-    if run_indirect {
-        for case in indirect_bench_cases() {
-            report(&bench_backend_rates(&case, reps, &indirect_backend));
+            report(&bench_backend_rates(&case, reps));
         }
     }
     // Schema v3: v2 added the top-level `dispatch` record (cross-ISA diff
@@ -1101,7 +1086,7 @@ fn ablation_banks() {
 }
 
 fn ablation_boundary() {
-    use iwino_core::{conv2d_opts, default_kernel_prefs, ConvOptions, SegmentPlan};
+    use iwino_core::{conv2d, default_kernel_prefs, ConvOptions, SegmentPlan};
     use iwino_tensor::{ConvShape, Tensor4};
     println!("\n==== Ablation (§5.5): boundary treatment vs conditional tiles ====");
     println!("Γ8(6,3); 'conditional waste' = fraction of tile FLOPs a conditional-store");
@@ -1138,10 +1123,10 @@ fn ablation_boundary() {
     for s in [exact, ragged] {
         let x = Tensor4::<f32>::random(s.x_dims(), 1, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), 2, -1.0, 1.0);
-        let _ = conv2d_opts(&x, &w, &s, &opts);
+        conv2d(&x, &w, &s, &opts).unwrap();
         let t0 = std::time::Instant::now();
         for _ in 0..3 {
-            let _ = conv2d_opts(&x, &w, &s, &opts);
+            conv2d(&x, &w, &s, &opts).unwrap();
         }
         gf.push(s.flops() * 3.0 / t0.elapsed().as_secs_f64() / 1e9);
     }

@@ -570,21 +570,21 @@ pub fn stage_bench_cases() -> Vec<StageBenchCase> {
     ]
 }
 
-/// One case of the im2col-GEMM sweep (`repro bench-stages gemm`): a
-/// Figure 7–9 ofms shape (batch-scaled for CPU, N = 1) driven through the
-/// engine's `im2col-gemm-nhwc` backend, so the committed `BENCH_pr9_*`
-/// trajectory tracks the SGEMM building block across commits.
+/// One case of the GEMM-class sweep (`repro bench-stages gemm`): a
+/// Figure 7–9 ofms shape (batch-scaled for CPU, N = 1) driven plan-cached
+/// through the engine's one GEMM-class backend, `im2col-indirect`.
 pub struct GemmBenchCase {
     pub label: String,
     pub shape: ConvShape,
 }
 
-/// The im2col-GEMM case list: one shape per Figure 8/9 regime, spanning the
+/// The GEMM-class case list: one shape per Figure 8/9 regime, spanning the
 /// frontier from large-spatial/small-channel (gather-bound) to
 /// small-spatial/large-channel (GEMM-bound), plus the even-filter r = 4
-/// panel and an α = 16 large-filter case. IC = OC throughout (§6).
+/// panel, the α = 16 large-filter regime, and two stride-2 down-sampling
+/// stages the Γ planner cannot run at all. IC = OC throughout (§6).
 pub fn gemm_bench_cases() -> Vec<GemmBenchCase> {
-    let shapes: [(&str, usize, usize, usize, usize); 8] = [
+    let unit: [(&str, usize, usize, usize, usize); 8] = [
         // Figure 8 Γ8(6,3) panel rows (128, 96, 96, 64) / (256, 32, 32, 128)
         // / (128, 12, 12, 512), N scaled to 1.
         ("gemm_r3_96x96x64", 96, 96, 64, 3),
@@ -600,60 +600,23 @@ pub fn gemm_bench_cases() -> Vec<GemmBenchCase> {
         ("gemm_r9_32x32x64", 32, 32, 64, 9),
         ("gemm_r9_16x16x128", 16, 16, 128, 9),
     ];
-    shapes
-        .into_iter()
-        .map(|(label, oh, ow, oc, r)| GemmBenchCase {
-            label: label.into(),
-            shape: ConvShape::from_ofms(1, oh, ow, oc, oc, r),
-        })
-        .collect()
-}
-
-/// The indirect-GEMM case list (`repro bench-stages indirect`): the region
-/// of the Figure 7–9 shape space the §5.7 heuristic hands to
-/// `im2col-indirect` — small-OW / deep-K rows where the row-at-a-time
-/// im2col fallback re-streams the packed-B panels N·OH times, the
-/// large-filter regime, plus strided variants (which the Γ planner cannot
-/// run at all). Run once with `--backend im2col-gemm-nhwc` and once with
-/// the default backend to regenerate the committed `BENCH_pr10_*` pair.
-pub fn indirect_bench_cases() -> Vec<GemmBenchCase> {
-    let unit: [(&str, usize, usize, usize, usize); 4] = [
-        // Figure 8 Γ8(6,3) rows (256, 32, 32, 128) / (128, 12, 12, 512),
-        // N scaled to 1: the deep-K / small-OW frontier anchors.
-        ("ind_r3_32x32x128", 32, 32, 128, 3),
-        ("ind_r3_12x12x512", 12, 12, 512, 3),
-        // Figure 8 Γ8(4,5) row (128, 16, 16, 256).
-        ("ind_r5_16x16x256", 16, 16, 256, 5),
-        // Figure 9 Γ16(8,9) row (32, 16, 16, 128): K = 81·IC dominates.
-        ("ind_r9_16x16x128", 16, 16, 128, 9),
-    ];
-    let mut cases: Vec<GemmBenchCase> = unit
-        .into_iter()
-        .map(|(label, oh, ow, oc, r)| GemmBenchCase {
-            label: label.into(),
-            shape: ConvShape::from_ofms(1, oh, ow, oc, oc, r),
-        })
-        .collect();
-    // Strided variants: stride-2 downsampling stages (ResNet-stem-like
-    // 3×3/s2 and a 5×5/s2), where the indirection table's gather skips the
-    // unvisited input rows the materialising im2col still walks.
-    cases.push(GemmBenchCase {
-        label: "ind_s2_r3_56x56x64".into(),
+    // Stride-2 down-sampling stages (ResNet-stem-like 3×3/s2 and a 5×5/s2):
+    // the indirection table's gather skips the unvisited input rows.
+    let strided: [(&str, usize, usize, usize); 2] =
+        [("gemm_s2_r3_56x56x64", 112, 64, 3), ("gemm_s2_r5_32x32x96", 64, 96, 5)];
+    let unit = unit.into_iter().map(|(label, oh, ow, oc, r)| GemmBenchCase {
+        label: label.into(),
+        shape: ConvShape::from_ofms(1, oh, ow, oc, oc, r),
+    });
+    let strided = strided.into_iter().map(|(label, hw, c, r)| GemmBenchCase {
+        label: label.into(),
         shape: ConvShape {
             sh: 2,
             sw: 2,
-            ..ConvShape::square(1, 112, 64, 64, 3)
+            ..ConvShape::square(1, hw, c, c, r)
         },
     });
-    cases.push(GemmBenchCase {
-        label: "ind_s2_r5_32x32x96".into(),
-        shape: ConvShape {
-            sh: 2,
-            sw: 2,
-            ..ConvShape::square(1, 64, 96, 96, 5)
-        },
-    });
-    cases
+    unit.chain(strided).collect()
 }
 
 /// Scale an ofms batch size so the measured workload stays near

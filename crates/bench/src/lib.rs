@@ -14,13 +14,11 @@
 //! repro ablation-banks            §5.2 bank-conflict ablation
 //! repro ablation-variants         §5.4/§5.6 ruse/c64 ablation
 //! repro ablation-transforms       §5.3 simplified-transformation ablation
-//! repro bench-stages [winograd|gemm|indirect] [--out p] [--engine] [--backend name]
+//! repro bench-stages [winograd|gemm] [--out p] [--engine]
 //!                                 per-stage effective GFLOP/s (the BENCH_*.json perf trajectory;
 //!                                 --engine runs plan-cached reps through the engine; `gemm` sweeps
-//!                                 the Fig 7–9 im2col shapes plan-cached through `im2col-gemm-nhwc`
-//!                                 — the BENCH_pr9_* pair; `indirect` sweeps the small-OW/strided
-//!                                 frontier through `im2col-indirect`, or through `--backend` for
-//!                                 the baseline arm — the BENCH_pr10_* pair)
+//!                                 the Fig 7–9 shapes plus two stride-2 stages plan-cached through
+//!                                 `im2col-indirect`, the engine's one GEMM-class path)
 //! repro bench-compare <base> <after> [--max-regression pct]  perf-regression gate over two
 //!                                 bench-stages documents (exit 1 on regression)
 //! repro trace [<case>] [--out p]  flight-recorder capture of a stage-bench case as Chrome
@@ -47,9 +45,18 @@ pub mod tracer;
 
 pub use compare::{compare, isa_parity, parse_bench_doc, BenchCase, BenchDoc, CaseDelta, CompareReport};
 pub use figures::{
-    gemm_bench_cases, indirect_bench_cases, scale_batch, stage_bench_cases, AccuracyTable, GemmBenchCase, Ofms, Panel,
-    StageBenchCase, FIG8, FIG9, TABLE3,
+    gemm_bench_cases, scale_batch, stage_bench_cases, AccuracyTable, GemmBenchCase, Ofms, Panel, StageBenchCase, FIG8,
+    FIG9, TABLE3,
 };
 pub use runner::*;
 pub use serve_bench::{run_serve_bench, serve_bench_buckets, ServeBenchCase, ServeBenchConfig, ServeBenchReport};
 pub use tracer::{record_trace, validate_chrome_trace, TraceSummary};
+
+/// Serialises the unit tests that run kernels: `iwino-obs` state is
+/// process-global, so a test that profiles a run must not also record the
+/// spans of a kernel another test runs concurrently.
+#[cfg(test)]
+pub(crate) fn kernel_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GUARD.lock().unwrap_or_else(|e| e.into_inner())
+}

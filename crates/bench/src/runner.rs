@@ -2,13 +2,14 @@
 //! criterion benches.
 
 use crate::figures::{scale_batch, AccuracyTable, Panel};
-use iwino_baselines::{direct_conv_f64_ref, im2col_conv_nhwc, winograd2d_conv, Im2colPlan};
-use iwino_core::{conv2d_opts, ConvError, ConvOptions, Epilogue, GammaSpec};
+use iwino_baselines::{direct_conv_f64_ref, im2col_conv_nchw_scratch, winograd2d_conv, Im2colPlan};
+use iwino_core::{conv2d, ConvError, ConvOptions, Epilogue, GammaSpec};
 use iwino_engine::{ConvAlgorithm, Engine, Handle, WinogradBackend};
 use iwino_gpu_sim::model::{Algorithm, Layout};
 use iwino_gpu_sim::DeviceSpec;
+use iwino_indirect::indirect_conv;
 use iwino_obs::Json;
-use iwino_tensor::{relative_error_histogram, ConvShape, ErrorStats, Tensor4};
+use iwino_tensor::{nchw_to_nhwc, nhwc_to_nchw, relative_error_histogram, ConvShape, ErrorStats, Tensor4};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -88,7 +89,7 @@ pub fn measure_gamma(shape: &ConvShape, spec: GammaSpec, reps: usize) -> f64 {
         force_kernels: Some(vec![spec]),
         ..Default::default()
     };
-    let dt = time_reps(|| drop(conv2d_opts(&x, &w, shape, &opts)), reps);
+    let dt = time_reps(|| drop(conv2d(&x, &w, shape, &opts).unwrap()), reps);
     shape.flops() / dt / 1e9
 }
 
@@ -117,15 +118,34 @@ pub fn measure_engine_backend(name: &str, shape: &ConvShape, reps: usize) -> Res
     Ok(shape.flops() / dt / 1e9)
 }
 
-/// Measured CPU Gflop/s of the im2col+GEMM baselines, driven through the
-/// engine registry (NCHW pays its layout conversions at the tensor edges,
-/// which is exactly the §6.1 point about NHWC being the native layout).
+/// Measured CPU Gflop/s of the `Implicit_Precomp_GEMM` stand-ins. NHWC is
+/// the engine's indirect GEMM, plan-cached; NCHW is the im2col+GEMM
+/// baseline with its gather plan and OIHW filter built once, paying its
+/// layout conversions at the tensor edges inside the timed region — which
+/// is exactly the §6.1 point about NHWC being the native layout.
 pub fn measure_im2col(shape: &ConvShape, layout: Layout, reps: usize) -> f64 {
-    let name = match layout {
-        Layout::Nhwc => "im2col-gemm-nhwc",
-        Layout::Nchw => "im2col-gemm-nchw",
-    };
-    measure_engine_backend(name, shape, reps).unwrap_or_else(|e| panic!("{name} on {shape:?}: {e}"))
+    if layout == Layout::Nhwc {
+        return measure_engine_backend("im2col-indirect", shape, reps)
+            .unwrap_or_else(|e| panic!("im2col-indirect on {shape:?}: {e}"));
+    }
+    let x = Tensor4::<f32>::random(shape.x_dims(), 13, -1.0, 1.0);
+    let w = Tensor4::<f32>::random(shape.w_dims(), 14, -1.0, 1.0);
+    let plan = Im2colPlan::new(shape);
+    // OHWI → OIHW is the same axis permutation as NHWC → NCHW.
+    let w_oihw = nhwc_to_nchw(&w);
+    let arena = Engine::global().arena();
+    let dt = time_reps(
+        || {
+            drop(nchw_to_nhwc(&im2col_conv_nchw_scratch(
+                &nhwc_to_nchw(&x),
+                &w_oihw,
+                &plan,
+                arena,
+            )))
+        },
+        reps,
+    );
+    shape.flops() / dt / 1e9
 }
 
 /// Measured CPU Gflop/s of the fused 2-D Winograd baseline (r = 3 only),
@@ -319,9 +339,8 @@ pub fn run_accuracy(table: &AccuracyTable, target_gflop: f64) -> Vec<AccuracyRow
                 force_kernels: Some(vec![table.spec()]),
                 ..Default::default()
             };
-            let gamma = ErrorStats::between(&conv2d_opts(&x, &w, &shape, &opts), &truth).mean;
-            let plan = Im2colPlan::new(&shape);
-            let cugemm = ErrorStats::between(&im2col_conv_nhwc(&x, &w, &plan), &truth).mean;
+            let gamma = ErrorStats::between(&conv2d(&x, &w, &shape, &opts).unwrap(), &truth).mean;
+            let cugemm = ErrorStats::between(&indirect_conv(&x, &w, &shape), &truth).mean;
             let cuwinograd = table
                 .fused_winograd
                 .then(|| ErrorStats::between(&winograd2d_conv(&x, &w, &shape, 2), &truth).mean);
@@ -371,9 +390,8 @@ pub fn run_histogram(table: &AccuracyTable, bins: usize, hi: f64, target_gflop: 
         force_kernels: Some(vec![table.spec()]),
         ..Default::default()
     };
-    let gamma = conv2d_opts(&x, &w, &shape, &opts);
-    let plan = Im2colPlan::new(&shape);
-    let gemm = im2col_conv_nhwc(&x, &w, &plan);
+    let gamma = conv2d(&x, &w, &shape, &opts).unwrap();
+    let gemm = indirect_conv(&x, &w, &shape);
     Histogram {
         label: table.label(),
         bucket_width: hi / bins as f64,
@@ -467,7 +485,7 @@ impl StageBenchResult {
 /// caches and the thread pool are hot when measurement starts.
 ///
 /// With `via_engine`, the reps run through an [`Engine`] instead of the
-/// plan-per-call `conv2d_opts` path: the warm-up builds (and caches) the
+/// plan-per-call `conv2d` path: the warm-up builds (and caches) the
 /// plan, so the measured window holds only cache hits and the
 /// `filter_transform` stage drops out of the profile entirely — the ratio
 /// against a non-engine run of the same case is the plan cache's payoff.
@@ -492,7 +510,7 @@ pub fn bench_stage_rates(case: &crate::figures::StageBenchCase, reps: usize, via
                     .unwrap_or_else(|e| panic!("{}: {e}", case.label)),
             );
         } else {
-            drop(conv2d_opts(&x, &w, shape, &opts));
+            drop(conv2d(&x, &w, shape, &opts).unwrap());
         }
     };
     run_once(); // warm-up (and, via the engine, the plan build)
@@ -564,27 +582,20 @@ pub fn bench_stage_rates(case: &crate::figures::StageBenchCase, reps: usize, via
     }
 }
 
-/// Run one im2col-GEMM case plan-cached through a private engine and derive
-/// per-stage rates — shorthand for [`bench_backend_rates`] on the
-/// `im2col-gemm-nhwc` backend (the `BENCH_pr9_*` trajectory).
-pub fn bench_gemm_rates(case: &crate::figures::GemmBenchCase, reps: usize) -> StageBenchResult {
-    bench_backend_rates(case, reps, "im2col-gemm-nhwc")
-}
-
-/// Run one GEMM-class case plan-cached through a private engine and derive
-/// per-stage rates for the named registry backend. The warm-up builds (and
-/// caches) the plan — the HWIO filter reshape, filter-side packing, and
-/// (for `im2col-indirect`) the indirection-table build are paid once — so
-/// the measured window holds only cache hits drawing gather/patch scratch
-/// from the engine's arena: the steady-state serving path the `BENCH_pr9_*`
-/// and `BENCH_pr10_*` trajectories compare across commits.
-pub fn bench_backend_rates(case: &crate::figures::GemmBenchCase, reps: usize, backend: &str) -> StageBenchResult {
+/// Run one GEMM-class case plan-cached through a private engine's
+/// `im2col-indirect` backend and derive per-stage rates. The warm-up builds
+/// (and caches) the plan — the HWIO filter reshape, filter-side packing and
+/// the indirection-table build are paid once — so the measured window holds
+/// only cache hits drawing A-panel scratch from the engine's arena: the
+/// steady-state serving path.
+pub fn bench_backend_rates(case: &crate::figures::GemmBenchCase, reps: usize) -> StageBenchResult {
+    const BACKEND: &str = "im2col-indirect";
     use iwino_obs as obs;
     let shape = &case.shape;
     let x = Tensor4::<f32>::random(shape.x_dims(), 43, -1.0, 1.0);
     let w = Tensor4::<f32>::random(shape.w_dims(), 44, -1.0, 1.0);
     let eng = Engine::new();
-    let algo = eng.algorithm(backend).unwrap_or_else(|e| panic!("{}: {e}", case.label));
+    let algo = eng.algorithm(BACKEND).unwrap_or_else(|e| panic!("{}: {e}", case.label));
     let handle = Handle::default();
     let run_once = || {
         drop(
@@ -649,7 +660,7 @@ pub fn bench_backend_rates(case: &crate::figures::GemmBenchCase, reps: usize, ba
     StageBenchResult {
         label: case.label.clone(),
         shape: format!("{n}x{oh}x{ow}x{oc}"),
-        kernel: backend.to_string(),
+        kernel: BACKEND.to_string(),
         reps,
         wall_ns,
         gflops: if wall_ns > 0 { flops / wall_ns as f64 } else { 0.0 },
@@ -772,7 +783,7 @@ pub fn validate_stage_model(shape: &ConvShape, spec: GammaSpec, reps: usize) -> 
         ..Default::default()
     };
     for _ in 0..reps.max(1) {
-        drop(conv2d_opts(&x, &w, shape, &opts));
+        drop(conv2d(&x, &w, shape, &opts).unwrap());
     }
     let snap = obs::snapshot();
     obs::set_enabled(was_enabled);
@@ -819,6 +830,7 @@ mod tests {
 
     #[test]
     fn accuracy_rows_have_paper_error_ordering() {
+        let _guard = crate::kernel_test_guard();
         // Γ8 ≈ 1e-7-ish mean relative error, far below the f32 GEMM. A tiny
         // custom sub-table keeps the debug-mode f64 reference fast; the full
         // Table 3 shapes run via `repro table3`.
@@ -853,6 +865,7 @@ mod tests {
 
     #[test]
     fn validate_model_compares_normalised_shares() {
+        let _guard = crate::kernel_test_guard();
         use iwino_core::Variant;
         let shape = ConvShape::square(1, 24, 16, 16, 3);
         let rows = validate_stage_model(&shape, GammaSpec::new(8, 6, 3, Variant::Standard), 2);
@@ -871,6 +884,7 @@ mod tests {
 
     #[test]
     fn engine_mode_amortises_the_filter_transform() {
+        let _guard = crate::kernel_test_guard();
         let case = &stage_bench_cases()[0];
         let per_call = bench_stage_rates(case, 2, false);
         let engined = bench_stage_rates(case, 2, true);
@@ -895,7 +909,8 @@ mod tests {
 
     #[test]
     fn backend_bench_runs_indirect_plan_cached() {
-        // A strided miniature of the BENCH_pr10 cases: the table is built
+        let _guard = crate::kernel_test_guard();
+        // A strided miniature of the `gemm` cases: the table is built
         // at warm-up (inside the plan), so no measured rep may re-enter
         // `indirect_setup`, and the kernel column must name the backend.
         let case = crate::figures::GemmBenchCase {
@@ -906,7 +921,7 @@ mod tests {
                 ..ConvShape::square(1, 16, 8, 8, 3)
             },
         };
-        let r = bench_backend_rates(&case, 2, "im2col-indirect");
+        let r = bench_backend_rates(&case, 2);
         assert_eq!(r.kernel, "im2col-indirect");
         assert!(r.via_engine);
         assert!(
@@ -920,6 +935,7 @@ mod tests {
 
     #[test]
     fn engine_smoke_covers_every_backend() {
+        let _guard = crate::kernel_test_guard();
         let rows = engine_smoke(1).expect("smoke must pass");
         let names: Vec<&str> = rows.iter().map(|r| r.backend).collect();
         assert_eq!(names, iwino_engine::BACKEND_NAMES.to_vec());
@@ -928,6 +944,7 @@ mod tests {
 
     #[test]
     fn histogram_percentages_sum_to_100() {
+        let _guard = crate::kernel_test_guard();
         let tiny = AccuracyTable {
             alpha: 16,
             n: 8,

@@ -310,6 +310,7 @@ mod tests {
 
     #[test]
     fn tiny_run_serves_everything_with_one_miss_per_bucket() {
+        let _guard = crate::kernel_test_guard();
         let cfg = ServeBenchConfig {
             requests: 24,
             rate: 50_000.0,

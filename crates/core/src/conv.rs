@@ -79,7 +79,7 @@ impl Epilogue {
     }
 }
 
-/// Tuning and selection options for [`conv2d_opts`] / [`deconv2d_opts`].
+/// Tuning and selection options for [`conv2d`] / [`deconv2d`].
 #[derive(Clone, Debug, Default)]
 pub struct ConvOptions {
     /// Force a specific primary kernel instead of the automatic choice
@@ -125,81 +125,26 @@ pub fn auto_options(shape: &ConvShape) -> ConvOptions {
     }
 }
 
-/// 2-D convolution with the default kernel selection. Unit-stride shapes
-/// run the fused Im2col-Winograd path; strided shapes route through the
-/// indirect-convolution GEMM (`iwino-indirect`), which handles arbitrary
-/// stride via its offset table.
+/// Unit-stride 2-D convolution through the fused Im2col-Winograd path.
 /// `x` is `N×IH×IW×IC` NHWC; `w` is `OC×FH×FW×IC`; returns `N×OH×OW×OC`.
-pub fn conv2d(x: &Tensor4<f32>, w: &Tensor4<f32>, shape: &ConvShape) -> Tensor4<f32> {
-    conv2d_opts(x, w, shape, &ConvOptions::default())
-}
-
-/// [`conv2d`] with explicit options. Panics on malformed requests;
-/// [`try_conv2d_opts`] is the recoverable form.
-pub fn conv2d_opts(x: &Tensor4<f32>, w: &Tensor4<f32>, shape: &ConvShape, opts: &ConvOptions) -> Tensor4<f32> {
-    try_conv2d_opts(x, w, shape, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`conv2d_opts`] returning [`ConvError`] instead of panicking.
-pub fn try_conv2d_opts(
+/// Strided shapes return [`ConvError::NonUnitStride`]: route them through
+/// `iwino_engine::Engine`. For a fused epilogue, or to reuse the filter
+/// transform across calls, use [`PreparedConv::forward`] and
+/// [`PreparedConv::execute`] directly.
+pub fn conv2d(
     x: &Tensor4<f32>,
     w: &Tensor4<f32>,
     shape: &ConvShape,
     opts: &ConvOptions,
 ) -> Result<Tensor4<f32>, ConvError> {
-    try_conv2d_fused(x, w, shape, opts, &Epilogue::None)
-}
-
-/// Convolution with a fused output epilogue (bias / activation applied
-/// inside the row pass while the output is cache-hot).
-pub fn conv2d_fused(
-    x: &Tensor4<f32>,
-    w: &Tensor4<f32>,
-    shape: &ConvShape,
-    opts: &ConvOptions,
-    epilogue: &Epilogue,
-) -> Tensor4<f32> {
-    try_conv2d_fused(x, w, shape, opts, epilogue).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`conv2d_fused`] returning [`ConvError`] instead of panicking.
-pub fn try_conv2d_fused(
-    x: &Tensor4<f32>,
-    w: &Tensor4<f32>,
-    shape: &ConvShape,
-    opts: &ConvOptions,
-    epilogue: &Epilogue,
-) -> Result<Tensor4<f32>, ConvError> {
-    if !shape.is_unit_stride() {
-        // The fused Γ path is unit-stride (§4); strided shapes run the
-        // indirect-convolution GEMM instead of erroring. The table and
-        // packed filter are rebuilt per call here — repeated-shape callers
-        // go through `iwino-engine`, whose plan cache keeps both.
-        expect_dims("filter", w.dims(), shape.w_dims())?;
-        expect_dims("input", x.dims(), shape.x_dims())?;
-        let mut y = iwino_indirect::indirect_conv(x, w, shape);
-        epilogue.apply(y.as_mut_slice(), shape.oc);
-        return Ok(y);
-    }
-    PreparedConv::forward(w, shape, opts)?.execute(x, epilogue)
+    PreparedConv::forward(w, shape, opts)?.execute(x, &Epilogue::None)
 }
 
 /// Deconvolution (backward-data): given `dy = N×OH×OW×OC` and the forward
 /// filter `w = OC×FH×FW×IC`, returns `dx = N×IH×IW×IC` for the unit-stride
 /// forward convolution described by `shape`. The 180° rotation and channel
 /// swap are fused into the filter transform (§5.1).
-pub fn deconv2d(dy: &Tensor4<f32>, w: &Tensor4<f32>, shape: &ConvShape) -> Tensor4<f32> {
-    deconv2d_opts(dy, w, shape, &ConvOptions::default())
-}
-
-/// [`deconv2d`] with explicit options. Panics on malformed requests;
-/// [`try_deconv2d_opts`] is the recoverable form.
-pub fn deconv2d_opts(dy: &Tensor4<f32>, w: &Tensor4<f32>, shape: &ConvShape, opts: &ConvOptions) -> Tensor4<f32> {
-    try_deconv2d_opts(dy, w, shape, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`deconv2d_opts`] returning [`ConvError`] instead of panicking.
-pub fn try_deconv2d_opts(
+pub fn deconv2d(
     dy: &Tensor4<f32>,
     w: &Tensor4<f32>,
     shape: &ConvShape,
@@ -526,7 +471,7 @@ mod tests {
         let x = Tensor4::<f32>::random(s.x_dims(), seed, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), seed + 1, -1.0, 1.0);
         let want = direct_conv_f64_ref(&x, &w, s);
-        let got = conv2d_opts(&x, &w, s, opts);
+        let got = conv2d(&x, &w, s, opts).unwrap();
         let e = max_mixed_error(&got, &want);
         assert!(e < tol, "{s:?} {opts:?}: error {e}");
     }
@@ -587,8 +532,8 @@ mod tests {
             allow_c64: true,
             ..Default::default()
         };
-        let y_std = conv2d_opts(&x, &w, &s, &std_opts);
-        let y_c64 = conv2d_opts(&x, &w, &s, &c64_opts);
+        let y_std = conv2d(&x, &w, &s, &std_opts).unwrap();
+        let y_c64 = conv2d(&x, &w, &s, &c64_opts).unwrap();
         let stats = iwino_tensor::ErrorStats::between(&y_c64, &want);
         assert!(stats.mean < 1e-4, "{stats:?}");
         assert_eq!(y_std.as_slice(), y_c64.as_slice(), "c64 must be a pure blocking change");
@@ -658,7 +603,7 @@ mod tests {
         let s = ConvShape::square(2, 12, 4, 6, 3);
         let dy = Tensor4::<f32>::random(s.y_dims(), 110, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), 111, -1.0, 1.0);
-        let got = deconv2d(&dy, &w, &s);
+        let got = deconv2d(&dy, &w, &s, &ConvOptions::default()).unwrap();
         // Reference: materialised rotated filter + direct convolution.
         let bw = ConvShape::unit(s.n, s.oh(), s.ow(), s.oc, s.ic, 3, 3, 2 - s.ph, 2 - s.pw);
         let wr = rotate_filter_180(&w);
@@ -674,7 +619,7 @@ mod tests {
             let s = ConvShape::square(1, 16, 4, 4, r);
             let dy = Tensor4::<f32>::random(s.y_dims(), 120 + r as u64, -1.0, 1.0);
             let w = Tensor4::<f32>::random(s.w_dims(), 130 + r as u64, -1.0, 1.0);
-            let got = deconv2d(&dy, &w, &s);
+            let got = deconv2d(&dy, &w, &s, &ConvOptions::default()).unwrap();
             let bw = ConvShape::unit(s.n, s.oh(), s.ow(), s.oc, s.ic, r, r, r - 1 - s.ph, r - 1 - s.pw);
             let wr = rotate_filter_180(&w);
             let want = direct_conv(&dy, &wr, &bw);
@@ -691,8 +636,8 @@ mod tests {
         let x = Tensor4::<f32>::random(s.x_dims(), 140, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), 141, -1.0, 1.0);
         let yr = Tensor4::<f32>::random(s.y_dims(), 142, -1.0, 1.0);
-        let cx = conv2d(&x, &w, &s);
-        let dy = deconv2d(&yr, &w, &s);
+        let cx = conv2d(&x, &w, &s, &ConvOptions::default()).unwrap();
+        let dy = deconv2d(&yr, &w, &s, &ConvOptions::default()).unwrap();
         let lhs: f64 = cx
             .as_slice()
             .iter()
@@ -709,30 +654,22 @@ mod tests {
     }
 
     #[test]
-    fn strided_shapes_route_through_indirect_gemm() {
-        // Non-unit stride can't run the fused Γ path; conv2d must now
-        // produce the convolution via the indirect GEMM instead of erroring.
+    fn strided_shapes_are_rejected() {
+        // The fused Γ path is unit-stride (§4); strided shapes belong to the
+        // engine, and core says so with a typed error rather than a panic.
         let s = ConvShape {
             sw: 2,
             ..ConvShape::square(1, 8, 2, 2, 3)
         };
         let x = Tensor4::<f32>::random(s.x_dims(), 710, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), 711, -1.0, 1.0);
-        let y = conv2d(&x, &w, &s);
-        assert_eq!(y.dims(), s.y_dims());
-        let want = iwino_baselines::direct_conv_f64_ref(&x, &w, &s);
-        for (i, (&a, &b)) in y.as_slice().iter().zip(want.as_slice()).enumerate() {
-            assert!((a as f64 - b).abs() < 1e-3, "idx {i}: {a} vs f64 direct {b}");
+        let opts = ConvOptions::default();
+        for e in [
+            conv2d(&x, &w, &s, &opts).unwrap_err(),
+            deconv2d(&Tensor4::zeros(s.y_dims()), &w, &s, &opts).unwrap_err(),
+        ] {
+            assert!(matches!(e, ConvError::NonUnitStride { sh: 1, sw: 2, .. }), "{e}");
         }
-        // The fused epilogue applies on the strided route too.
-        let got = conv2d_fused(&x, &w, &s, &ConvOptions::default(), &Epilogue::Relu);
-        for (&g, &p) in got.as_slice().iter().zip(y.as_slice()) {
-            assert_eq!(g, p.max(0.0));
-        }
-        // Malformed strided requests still fail recoverably, not by panic.
-        let bad = Tensor4::<f32>::zeros([1, 3, 3, 2]);
-        let e = try_conv2d_opts(&bad, &w, &s, &ConvOptions::default()).unwrap_err();
-        assert!(matches!(e, ConvError::ShapeMismatch { what: "input", .. }), "{e}");
     }
 
     #[test]
@@ -741,29 +678,29 @@ mod tests {
         let x = Tensor4::<f32>::random(s.x_dims(), 500, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), 501, -1.0, 1.0);
         let bias: Vec<f32> = (0..5).map(|i| i as f32 * 0.3 - 0.5).collect();
-        let opts = ConvOptions::default();
-        let plain = conv2d_opts(&x, &w, &s, &opts);
+        let prep = PreparedConv::forward(&w, &s, &ConvOptions::default()).unwrap();
+        let plain = prep.execute(&x, &Epilogue::None).unwrap();
 
         // Bias only.
-        let got = conv2d_fused(&x, &w, &s, &opts, &Epilogue::Bias(bias.clone()));
+        let got = prep.execute(&x, &Epilogue::Bias(bias.clone())).unwrap();
         for (px_g, px_p) in got.as_slice().chunks_exact(5).zip(plain.as_slice().chunks_exact(5)) {
             for o in 0..5 {
                 assert!((px_g[o] - (px_p[o] + bias[o])).abs() < 1e-6);
             }
         }
         // ReLU.
-        let got = conv2d_fused(&x, &w, &s, &opts, &Epilogue::Relu);
+        let got = prep.execute(&x, &Epilogue::Relu).unwrap();
         for (&g, &p) in got.as_slice().iter().zip(plain.as_slice()) {
             assert_eq!(g, p.max(0.0));
         }
         // LeakyReLU(0.1).
-        let got = conv2d_fused(&x, &w, &s, &opts, &Epilogue::LeakyRelu(0.1));
+        let got = prep.execute(&x, &Epilogue::LeakyRelu(0.1)).unwrap();
         for (&g, &p) in got.as_slice().iter().zip(plain.as_slice()) {
             let want = if p >= 0.0 { p } else { 0.1 * p };
             assert!((g - want).abs() < 1e-7);
         }
         // Bias + LeakyReLU.
-        let got = conv2d_fused(&x, &w, &s, &opts, &Epilogue::BiasLeakyRelu(bias.clone(), 0.2));
+        let got = prep.execute(&x, &Epilogue::BiasLeakyRelu(bias.clone(), 0.2)).unwrap();
         for (px_g, px_p) in got.as_slice().chunks_exact(5).zip(plain.as_slice().chunks_exact(5)) {
             for o in 0..5 {
                 let t = px_p[o] + bias[o];
@@ -809,7 +746,7 @@ mod tests {
             let x = Tensor4::<f32>::random(s.x_dims(), 400 + r as u64, 1.0, 2.0);
             let w = Tensor4::<f32>::random(s.w_dims(), 410 + r as u64, 1.0, 2.0);
             let want = direct_conv_f64_ref(&x, &w, &s);
-            let got = conv2d_opts(&x, &w, &s, &opts);
+            let got = conv2d(&x, &w, &s, &opts).unwrap();
             let stats = iwino_tensor::ErrorStats::between(&got, &want);
             assert!(stats.mean < 1e-3, "r = {r}: {stats:?}");
         }
@@ -835,7 +772,7 @@ mod tests {
         let x = Tensor4::<f32>::random(s.x_dims(), 150, 1.0, 2.0);
         let w = Tensor4::<f32>::random(s.w_dims(), 151, 1.0, 2.0);
         let want = direct_conv_f64_ref(&x, &w, &s);
-        let got = conv2d(&x, &w, &s);
+        let got = conv2d(&x, &w, &s, &ConvOptions::default()).unwrap();
         let stats = iwino_tensor::ErrorStats::between(&got, &want);
         assert!(stats.mean < 5e-6, "mean relative error too large: {stats:?}");
     }
@@ -857,7 +794,7 @@ mod accuracy {
             prefer_alpha16: true,
             ..Default::default()
         };
-        let got = conv2d_opts(&x, &w, &s, &opts);
+        let got = conv2d(&x, &w, &s, &opts).unwrap();
         let stats = iwino_tensor::ErrorStats::between(&got, &want);
         eprintln!("gamma16 stats: {stats:?}");
         assert!(stats.mean < 1e-4, "{stats:?}");

@@ -4,7 +4,7 @@
 //! module is a thin, allocation-free-as-possible wrapper that exposes the
 //! natural signal-processing API (`[batch, width, channels]`).
 
-use crate::conv::{conv2d_opts, ConvOptions};
+use crate::conv::{conv2d, ConvOptions};
 use iwino_tensor::{ConvShape, Tensor4};
 
 /// Unit-stride 1-D convolution.
@@ -24,7 +24,7 @@ pub fn conv1d_opts(x: &Tensor4<f32>, w: &Tensor4<f32>, pad: usize, opts: &ConvOp
     assert_eq!(one_w, 1, "conv1d filter must be [oc, 1, r, ic]");
     assert_eq!(ic, wic, "channel mismatch");
     let shape = ConvShape::unit(n, 1, iw, ic, oc, 1, r, 0, pad);
-    conv2d_opts(x, w, &shape, opts)
+    conv2d(x, w, &shape, opts).unwrap()
 }
 
 /// Helper: pack a flat `N×W×C` buffer into the `Tensor4` the 1-D API uses.

@@ -1,12 +1,11 @@
 //! Recoverable convolution errors.
 //!
-//! The original entry points (`conv2d`, `deconv2d`) validated shapes with
-//! `assert!`, so a malformed request from a caller aborted the whole
-//! process — unacceptable once convolutions are dispatched from a serving
-//! engine that handles many independent requests. Every planning/execution
-//! path now reports [`ConvError`] through the `try_*` entry points (and
-//! through `iwino-engine`); the panicking wrappers remain only as thin
-//! compatibility shims for code that wants the old behaviour.
+//! A malformed request must not abort the process once convolutions are
+//! dispatched from a serving engine that handles many independent
+//! requests. Every planning/execution path — [`crate::conv2d`],
+//! [`crate::deconv2d`], [`crate::PreparedConv`] and `iwino-engine` —
+//! reports [`ConvError`] instead of panicking; callers that want a panic
+//! `unwrap` it themselves.
 
 use iwino_tensor::ConvShape;
 use std::fmt;
@@ -57,7 +56,7 @@ impl fmt::Display for ConvError {
                 write!(
                     f,
                     "{algorithm} is a unit-stride algorithm (§4) but stride is {sh}×{sw}; \
-                     use a GEMM/direct path for strided convolution"
+                     run strided convolutions through iwino_engine::Engine"
                 )
             }
             ConvError::Unsupported { algorithm, reason } => {
@@ -123,12 +122,22 @@ mod tests {
                 sw: 2,
                 ..ConvShape::square(1, 9, 3, 4, 3)
             }),
-            supported: vec!["im2col-gemm-nhwc", "im2col-indirect", "direct"],
+            supported: vec!["direct", "im2col-indirect"],
         };
         let msg = format!("{e}");
         assert!(msg.contains("fft"), "{msg}");
         assert!(msg.contains("im2col-indirect"), "{msg}");
         assert!(msg.contains("direct"), "{msg}");
+    }
+
+    #[test]
+    fn non_unit_stride_points_at_the_engine() {
+        let e = ConvError::NonUnitStride {
+            algorithm: "Im2col-Winograd",
+            sh: 2,
+            sw: 2,
+        };
+        assert!(format!("{e}").contains("iwino_engine::Engine"), "{e}");
     }
 
     #[test]

@@ -19,10 +19,15 @@
 //!
 //! # What this crate provides
 //!
-//! * [`conv2d`] / [`conv2d_opts`] — unit-stride 2-D convolution, filter
-//!   widths 2–9 (any `r ≤ 15` in principle), arbitrary padding;
-//! * [`deconv2d`] / [`deconv2d_opts`] — the backward-data pass, with the
-//!   180° filter rotation fused into the filter transform (§5.1);
+//! * [`conv2d`] — unit-stride 2-D convolution, filter widths 2–9 (any
+//!   `r ≤ 15` in principle), arbitrary padding. Strided shapes return
+//!   [`ConvError::NonUnitStride`]; `iwino-engine` is the dispatcher that
+//!   routes them to another algorithm (§5.7);
+//! * [`deconv2d`] — the backward-data pass, with the 180° filter rotation
+//!   fused into the filter transform (§5.1);
+//! * [`PreparedConv`] — the same fused path split into plan + filter
+//!   transform once, then execute many times with an optional fused
+//!   epilogue (bias / activation);
 //! * [`filter_grad`] — the backward-filter pass used for CNN training;
 //! * [`plan`] — the §5.5 boundary treatment: `OW` is split into segments,
 //!   each covered exactly by a kernel, fastest kernel first, GEMM-style
@@ -56,10 +61,7 @@ pub mod plan;
 pub mod precision;
 pub mod workspace;
 
-pub use conv::{
-    auto_options, conv2d, conv2d_fused, conv2d_opts, deconv2d, deconv2d_opts, try_conv2d_fused, try_conv2d_opts,
-    try_deconv2d_opts, ConvOptions, Epilogue, PreparedConv,
-};
+pub use conv::{auto_options, conv2d, deconv2d, ConvOptions, Epilogue, PreparedConv};
 pub use conv1d::{conv1d, conv1d_opts};
 pub use error::ConvError;
 pub use filter::TransformedFilter;

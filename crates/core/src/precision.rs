@@ -14,7 +14,7 @@
 //! f64-Winograd: the Table 3 numbers). This is the cleanest evidence the
 //! reproduction can give that the paper's accuracy analysis is right.
 
-use crate::conv::{conv2d_opts, ConvOptions};
+use crate::conv::{conv2d, ConvOptions};
 use crate::plan::GammaSpec;
 use iwino_tensor::{ConvShape, ErrorStats, Tensor4};
 use iwino_transforms::WinogradTransform;
@@ -177,7 +177,7 @@ pub fn error_decomposition(shape: &ConvShape, spec: GammaSpec, seed: u64) -> Err
         force_kernels: Some(vec![spec]),
         ..Default::default()
     };
-    let wino32 = conv2d_opts(&x32, &w32, shape, &opts);
+    let wino32 = conv2d(&x32, &w32, shape, &opts).unwrap();
 
     ErrorDecomposition {
         algorithmic: ErrorStats::between(&wino64, &direct64).mean,

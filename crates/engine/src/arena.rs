@@ -1,15 +1,15 @@
 //! Arena-backed workspace pool.
 //!
-//! GEMM-class backends need per-row patch buffers; the fused paths need
+//! GEMM-class backends need A-panel and patch buffers; the fused paths need
 //! nothing, which is their §4.2 selling point — but when a GEMM path *is*
-//! selected (strided shapes), the serving loop should not hit the allocator
-//! on every row of every call. The pool keeps returned buffers on a free
-//! list, hands the smallest sufficient one back out on checkout, and
-//! reports hits/misses/high-water bytes both through its own counters
-//! (always on, for [`crate::Engine::stats`]) and through `iwino-obs`
-//! (gated, for the metrics-JSON export).
+//! selected (strided or deep-K shapes, or a Γ boundary remainder), the
+//! serving loop should not hit the allocator on every call. The pool keeps
+//! returned buffers on a free list, hands the smallest sufficient one back
+//! out on checkout, and reports hits/misses/high-water bytes both through
+//! its own counters (always on, for [`crate::Engine::stats`]) and through
+//! `iwino-obs` (gated, for the metrics-JSON export).
 
-use iwino_baselines::ScratchProvider;
+use iwino_gemm::ScratchProvider;
 use iwino_obs as obs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

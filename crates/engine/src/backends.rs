@@ -1,39 +1,28 @@
 //! The registered [`ConvAlgorithm`] implementations.
 //!
 //! One adapter per algorithm family the paper benchmarks (§6.1.1): the
-//! fused Im2col-Winograd kernels, im2col+GEMM in both layouts (the
-//! `Implicit_Precomp_GEMM` stand-ins), direct convolution, fused 2-D
-//! Winograd (`Fused_Winograd`, 3×3-only), FFT, and indirect convolution
-//! (Dukhan's indirection-buffer GEMM, the arbitrary-stride path). Every
-//! adapter produces a [`ConvPlan`] owning whatever per-shape state is
-//! expensive to rebuild — transformed-filter banks, reshaped weights,
-//! gather maps, indirection tables — so the engine's cache turns repeat
-//! calls into pure execution.
+//! fused Im2col-Winograd kernels, indirect convolution (Dukhan's
+//! indirection-buffer GEMM — the NHWC `Implicit_Precomp_GEMM` stand-in and
+//! the arbitrary-stride path), direct convolution, fused 2-D Winograd
+//! (`Fused_Winograd`, 3×3-only) and FFT. Every adapter produces a
+//! [`ConvPlan`] owning whatever per-shape state is expensive to rebuild —
+//! transformed-filter banks, reshaped weights, indirection tables — so the
+//! engine's cache turns repeat calls into pure execution.
 
 use crate::arena::WorkspacePool;
 use crate::{ConvAlgorithm, ConvPlan};
 use iwino_baselines as baselines;
 use iwino_core::error::expect_dims;
 use iwino_core::{AlgorithmClass, ConvError, ConvOptions, Epilogue, PreparedConv};
-use iwino_tensor::{nchw_to_nhwc, nhwc_to_nchw, transpose_filter_to_hwio, ConvShape, Tensor4};
+use iwino_tensor::{transpose_filter_to_hwio, ConvShape, Tensor4};
 use std::sync::Arc;
 
 /// Registry names, in registration order. `Engine::algorithms` mirrors this.
-pub const BACKEND_NAMES: [&str; 7] = [
-    "im2col-winograd",
-    "im2col-gemm-nhwc",
-    "im2col-gemm-nchw",
-    "direct",
-    "winograd2d",
-    "fft",
-    "im2col-indirect",
-];
+pub const BACKEND_NAMES: [&str; 5] = ["im2col-winograd", "direct", "winograd2d", "fft", "im2col-indirect"];
 
 pub(crate) fn all_backends() -> Vec<Arc<dyn ConvAlgorithm>> {
     vec![
         Arc::new(WinogradBackend::auto()),
-        Arc::new(GemmNhwcBackend),
-        Arc::new(GemmNchwBackend),
         Arc::new(DirectBackend),
         Arc::new(Winograd2dBackend),
         Arc::new(FftBackend),
@@ -134,142 +123,6 @@ impl ConvPlan for WinogradPlan {
         // property); only a boundary GEMM segment, when the plan has one,
         // checks its patch and panel buffers out of the arena.
         self.prep.execute_scratch(x, epilogue, arena)
-    }
-}
-
-// ------------------------------------------------------------- im2col NHWC
-
-/// im2col + GEMM in the native NHWC layout. The plan caches the gather
-/// maps *and* the HWIO filter pre-packed into GEMM panels (cuDNN's
-/// "precomp"), and the patch rows draw from the engine arena.
-pub struct GemmNhwcBackend;
-
-struct GemmNhwcPlan {
-    plan: baselines::Im2colPlan,
-    w_packed: iwino_gemm::PackedB,
-}
-
-impl ConvAlgorithm for GemmNhwcBackend {
-    fn name(&self) -> &'static str {
-        "im2col-gemm-nhwc"
-    }
-
-    fn supports(&self, _s: &ConvShape) -> bool {
-        true
-    }
-
-    fn workspace_class(&self, _s: &ConvShape) -> AlgorithmClass {
-        AlgorithmClass::ImplicitPrecompGemm
-    }
-
-    fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
-        if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
-        }
-        expect_dims("filter", w.dims(), s.w_dims())?;
-        let wmat = transpose_filter_to_hwio(w);
-        Ok(Arc::new(GemmNhwcPlan {
-            plan: baselines::Im2colPlan::new(s),
-            w_packed: iwino_gemm::PackedB::pack(s.fh * s.fw * s.ic, s.oc, wmat.as_slice()),
-        }))
-    }
-}
-
-impl ConvPlan for GemmNhwcPlan {
-    fn algorithm(&self) -> &'static str {
-        "im2col-gemm-nhwc"
-    }
-
-    fn shape(&self) -> &ConvShape {
-        self.plan.shape()
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.w_packed.resident_bytes()
-    }
-
-    fn run(&self, x: &Tensor4<f32>, epilogue: &Epilogue, arena: &WorkspacePool) -> Result<Tensor4<f32>, ConvError> {
-        let s = self.plan.shape();
-        expect_dims("input", x.dims(), s.x_dims())?;
-        let mut y = baselines::im2col_conv_nhwc_packed(x, &self.w_packed, &self.plan, arena);
-        epilogue.apply(y.as_mut_slice(), s.oc);
-        Ok(y)
-    }
-}
-
-// ------------------------------------------------------------- im2col NCHW
-
-/// im2col + GEMM in NCHW/OIHW, wrapped with layout conversion at the edges
-/// so it presents the same NHWC interface as every other backend (the
-/// benchmark harness compares the two layouts' gather behaviour like the
-/// paper compares `Implicit_Precomp_GEMM` in both formats).
-pub struct GemmNchwBackend;
-
-struct GemmNchwPlan {
-    plan: baselines::Im2colPlan,
-    w_oihw: Tensor4<f32>,
-}
-
-fn ohwi_to_oihw(w: &Tensor4<f32>) -> Tensor4<f32> {
-    let [oc, fh, fw, ic] = w.dims();
-    let mut out = Tensor4::zeros([oc, ic, fh, fw]);
-    for o in 0..oc {
-        for h in 0..fh {
-            for x in 0..fw {
-                for i in 0..ic {
-                    *out.at_mut(o, i, h, x) = w.at(o, h, x, i);
-                }
-            }
-        }
-    }
-    out
-}
-
-impl ConvAlgorithm for GemmNchwBackend {
-    fn name(&self) -> &'static str {
-        "im2col-gemm-nchw"
-    }
-
-    fn supports(&self, _s: &ConvShape) -> bool {
-        true
-    }
-
-    fn workspace_class(&self, _s: &ConvShape) -> AlgorithmClass {
-        AlgorithmClass::ImplicitPrecompGemm
-    }
-
-    fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
-        if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
-        }
-        expect_dims("filter", w.dims(), s.w_dims())?;
-        Ok(Arc::new(GemmNchwPlan {
-            plan: baselines::Im2colPlan::new(s),
-            w_oihw: ohwi_to_oihw(w),
-        }))
-    }
-}
-
-impl ConvPlan for GemmNchwPlan {
-    fn algorithm(&self) -> &'static str {
-        "im2col-gemm-nchw"
-    }
-
-    fn shape(&self) -> &ConvShape {
-        self.plan.shape()
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.w_oihw.len() * 4
-    }
-
-    fn run(&self, x: &Tensor4<f32>, epilogue: &Epilogue, arena: &WorkspacePool) -> Result<Tensor4<f32>, ConvError> {
-        let s = self.plan.shape();
-        expect_dims("input", x.dims(), s.x_dims())?;
-        let y_nchw = baselines::im2col_conv_nchw_scratch(&nhwc_to_nchw(x), &self.w_oihw, &self.plan, arena);
-        let mut y = nchw_to_nhwc(&y_nchw);
-        epilogue.apply(y.as_mut_slice(), s.oc);
-        Ok(y)
     }
 }
 
@@ -472,7 +325,8 @@ impl ConvPlan for FftPlan {
 /// GEMM over the gathered A-panels covers the whole batch. The plan caches
 /// the table next to the pre-packed HWIO filter — both shape-keyed, both
 /// batch-relocatable — and arbitrary stride falls out of the table build,
-/// making this the engine's GEMM-class path for strided shapes.
+/// making this the engine's one GEMM-class path: deep-K, strided and
+/// large-filter shapes all run here.
 pub struct IndirectBackend;
 
 struct IndirectPlan {

@@ -3,24 +3,26 @@
 //!
 //! The paper's §5.5/§5.7 story is that Im2col-Winograd is one algorithm in
 //! a *selector* — unit-stride convolutions run Γα(n, r), everything else
-//! falls back to GEMM-class paths. This crate is that selector made
+//! falls back to another algorithm. This crate is that selector made
 //! concrete, in the shape framework integrations actually use (cuDNN's
 //! algorithm enum + plan handles; the Indirect Convolution paper's
-//! precomputed per-shape state):
+//! precomputed per-shape state), and it is the only dispatcher in the
+//! workspace: `iwino-core` runs Γ alone and rejects strided shapes.
 //!
 //! * [`ConvAlgorithm`] / [`ConvPlan`] — the registry abstraction. An
 //!   algorithm inspects a [`ConvShape`] and builds a plan; the plan owns
-//!   the expensive per-shape state (transformed-filter banks, reshaped
-//!   weights, gather maps) and executes against inputs.
+//!   the expensive per-shape state (transformed-filter banks, packed
+//!   weights, indirection tables) and executes against inputs.
 //! * [`Engine`] — the global registry plus a bounded LRU **plan cache**
 //!   keyed by `(algorithm, shape, filter-id, direction)`, so repeated
 //!   same-shape forwards stop re-transforming filters (the serving hot
 //!   path), and an arena-backed [`WorkspacePool`] so GEMM-class scratch
-//!   stops hitting the allocator per row.
+//!   stops hitting the allocator per call.
 //! * [`SelectionPolicy`] — §5.7's heuristic by default (unit stride → Γ,
-//!   otherwise GEMM), an optional measure-once autotune that times every
-//!   eligible backend on first sight of a shape and pins the winner, and
-//!   `Force` for driving a specific backend by registry name.
+//!   otherwise the indirect GEMM `im2col-indirect`), an optional
+//!   measure-once autotune that times every eligible backend on first
+//!   sight of a shape and pins the winner, and `Force` for driving a
+//!   specific backend by registry name.
 //! * [`Handle`] — per-layer identity: owns the filter-id whose epoch is
 //!   bumped on weight mutation, which invalidates cached plans without any
 //!   cache walk.
@@ -90,8 +92,9 @@ pub trait ConvPlan: Send + Sync {
 /// How a [`Handle`] picks its backend.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum SelectionPolicy {
-    /// §5.7: unit-stride shapes the fused kernels can run → Im2col-Winograd;
-    /// everything else → im2col+GEMM (NHWC).
+    /// §5.7: unit-stride shapes the fused kernels can run → Im2col-Winograd
+    /// (except the deep-K corner); everything else → indirect GEMM
+    /// (`im2col-indirect`). See [`Engine::heuristic_choice`].
     #[default]
     Heuristic,
     /// Time every eligible backend on first sight of a shape, pin the
@@ -227,25 +230,21 @@ impl Engine {
         &self.arena
     }
 
-    /// §5.7 heuristic, thresholds re-derived against the packed SGEMM:
-    /// fused Winograd wherever it applies — except the deep-K corner
-    /// (3×3-and-smaller filters over ≥ 256 input channels), where the
-    /// packed im2col GEMM's panel reuse beats short Γ tiles on the
-    /// measured frontier (EXPERIMENTS.md, "who wins where"). Everything
-    /// the fused path cannot run — strided shapes (small OW), filters
-    /// outside the Γ planner's 2..=15 width range (large r) — goes to
-    /// `im2col-indirect`: its one batch-wide GEMM amortises the packed-B
-    /// panel streaming that the row-at-a-time im2col fallback re-pays
-    /// `N·OH` times, and its indirection table handles arbitrary stride
-    /// (EXPERIMENTS.md, indirect-vs-im2col frontier).
+    /// §5.7 heuristic, with two outcomes: fused Winograd wherever it
+    /// applies, `im2col-indirect` everywhere else. "Everywhere else" is
+    /// what the fused path cannot run — strided shapes, filters outside the
+    /// Γ planner's 2..=15 width range — plus the deep-K corner (3×3-and-
+    /// smaller filters over ≥ 256 input channels), where the indirect
+    /// GEMM's batch-wide panel reuse beats short Γ tiles on the measured
+    /// frontier (EXPERIMENTS.md, "who wins where").
     pub fn heuristic_choice(&self, s: &ConvShape) -> &'static str {
-        if !self.registry[0].supports(s) {
-            return "im2col-indirect";
+        let gamma = &self.registry[0];
+        let deep_k = s.ic >= 256 && s.fh <= 3 && s.fw <= 3;
+        if gamma.supports(s) && !deep_k {
+            gamma.name() // "im2col-winograd"
+        } else {
+            "im2col-indirect"
         }
-        if s.ic >= 256 && s.fh <= 3 && s.fw <= 3 {
-            return "im2col-gemm-nhwc";
-        }
-        self.registry[0].name() // "im2col-winograd"
     }
 
     /// The autotune winner pinned for `s`, if one has been measured.

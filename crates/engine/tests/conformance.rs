@@ -16,7 +16,7 @@ fn shapes() -> Vec<ConvShape> {
         ConvShape::square(1, 9, 2, 4, 2),
         // No padding.
         ConvShape::unit(1, 7, 11, 3, 4, 3, 3, 0, 0),
-        // Strided: only the GEMM-class + direct backends remain.
+        // Strided: only the indirect GEMM and direct remain.
         ConvShape {
             sh: 2,
             sw: 2,
@@ -74,24 +74,44 @@ fn every_backend_matches_f64_direct_reference() {
 #[test]
 fn fused_epilogue_matches_post_applied_reference() {
     // The winograd backend fuses the epilogue into the row pass; the others
-    // apply it after. Both must produce the same function.
+    // apply it after. Both must produce the same function, on unit-stride
+    // and strided shapes alike.
     let eng = Engine::new();
-    let s = ConvShape::square(1, 8, 3, 6, 3);
-    let x = Tensor4::<f32>::random(s.x_dims(), 7, -1.0, 1.0);
-    let w = Tensor4::<f32>::random(s.w_dims(), 8, -1.0, 1.0);
-    let bias: Vec<f32> = (0..s.oc).map(|i| i as f32 * 0.25 - 0.5).collect();
-    let epi = Epilogue::BiasLeakyRelu(bias.clone(), 0.1);
-    let mut outs = Vec::new();
-    for name in ["im2col-winograd", "im2col-gemm-nhwc", "direct"] {
-        let algo = eng.algorithm(name).unwrap();
-        let y = eng
-            .conv_with(&algo, FilterId { owner: 9, epoch: 0 }, &x, &w, &s, &epi)
-            .unwrap();
-        outs.push(y);
-    }
-    for pair in outs.windows(2) {
-        let err = iwino_tensor::max_mixed_error(&pair[0], &pair[1]);
-        assert!(err < 1e-4, "epilogue disagreement: {err}");
+    let strided = ConvShape {
+        sh: 2,
+        sw: 2,
+        ..ConvShape::square(1, 9, 3, 6, 3)
+    };
+    let cases = [
+        (
+            ConvShape::square(1, 8, 3, 6, 3),
+            &["im2col-winograd", "im2col-indirect", "direct"][..],
+        ),
+        (strided, &["im2col-indirect", "direct"][..]),
+    ];
+    for (si, (s, names)) in cases.iter().enumerate() {
+        let x = Tensor4::<f32>::random(s.x_dims(), 7, -1.0, 1.0);
+        let w = Tensor4::<f32>::random(s.w_dims(), 8, -1.0, 1.0);
+        let bias: Vec<f32> = (0..s.oc).map(|i| i as f32 * 0.25 - 0.5).collect();
+        let epi = Epilogue::BiasLeakyRelu(bias.clone(), 0.1);
+        let filter = FilterId {
+            owner: 9,
+            epoch: si as u64,
+        };
+        let mut outs = Vec::new();
+        for name in *names {
+            let algo = eng.algorithm(name).unwrap();
+            let y = eng.conv_with(&algo, filter, &x, &w, s, &epi).unwrap();
+            // Fused or post-applied, the epilogue is the same arithmetic.
+            let mut want = eng.conv_with(&algo, filter, &x, &w, s, &Epilogue::None).unwrap();
+            epi.apply(want.as_mut_slice(), s.oc);
+            assert_eq!(y.as_slice(), want.as_slice(), "{name} on {s:?}");
+            outs.push(y);
+        }
+        for pair in outs.windows(2) {
+            let err = iwino_tensor::max_mixed_error(&pair[0], &pair[1]);
+            assert!(err < 1e-4, "epilogue disagreement on {s:?}: {err}");
+        }
     }
 }
 

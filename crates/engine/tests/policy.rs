@@ -21,9 +21,9 @@ fn heuristic_picks_winograd_for_unit_stride_r2_to_9() {
 }
 
 #[test]
-fn heuristic_picks_gemm_for_deep_k_small_filters() {
-    // Re-derived frontier (packed SGEMM): 3×3-and-smaller filters over
-    // ≥ 256 input channels run faster through the packed im2col GEMM than
+fn heuristic_picks_indirect_for_deep_k_small_filters() {
+    // Measured frontier: 3×3-and-smaller filters over ≥ 256 input channels
+    // run faster through the indirect GEMM's batch-wide panel reuse than
     // through short Γ tiles — measured on 12×12×512, 14×14×256, 7×7×512.
     let eng = Engine::new();
     for (hw, c) in [(12usize, 512usize), (14, 256), (7, 512)] {
@@ -31,7 +31,7 @@ fn heuristic_picks_gemm_for_deep_k_small_filters() {
         assert!(s.is_unit_stride());
         assert_eq!(
             eng.heuristic_choice(&s),
-            "im2col-gemm-nhwc",
+            "im2col-indirect",
             "{hw}x{hw}x{c} r=3 sits on the GEMM side of the measured frontier"
         );
     }
@@ -69,11 +69,11 @@ fn heuristic_picks_indirect_for_strides_at_least_2() {
 }
 
 #[test]
-fn heuristic_frontier_between_indirect_and_im2col_gemm() {
-    // ISSUE-10 satellite: pin both sides of the indirect-vs-im2col
-    // frontier the heuristic encodes.
+fn heuristic_has_exactly_two_outcomes() {
+    // Every shape resolves to Γ or the indirect GEMM; pin both sides of
+    // the frontier between them.
     let eng = Engine::new();
-    // Strided ⇒ small OW: indirect wins (BENCH_pr10 pair).
+    // Strided ⇒ small OW: indirect.
     let strided = ConvShape {
         sh: 2,
         sw: 2,
@@ -84,11 +84,24 @@ fn heuristic_frontier_between_indirect_and_im2col_gemm() {
     let large_r = ConvShape::square(1, 20, 4, 4, 16);
     assert!(!large_r.is_unit_stride() || large_r.fw > 15);
     assert_eq!(eng.heuristic_choice(&large_r), "im2col-indirect");
-    // Deep-K r=3 unit stride stays on the materialising im2col GEMM.
+    // Deep-K r=3 unit stride: indirect; one channel step below: Γ.
     assert_eq!(
         eng.heuristic_choice(&ConvShape::square(1, 12, 512, 512, 3)),
-        "im2col-gemm-nhwc"
+        "im2col-indirect"
     );
+    assert_eq!(
+        eng.heuristic_choice(&ConvShape::square(1, 12, 255, 255, 3)),
+        "im2col-winograd"
+    );
+    let unit = [1usize, 3, 5, 9, 16].map(|r| ConvShape::square(1, 20, 8, 8, r));
+    let deep = [1usize, 2, 3].map(|r| ConvShape::square(1, 12, 256, 64, r));
+    for s in unit.iter().chain(&deep).chain([&strided, &large_r]) {
+        let choice = eng.heuristic_choice(s);
+        assert!(
+            ["im2col-winograd", "im2col-indirect"].contains(&choice),
+            "{s:?} resolved to {choice}"
+        );
+    }
 }
 
 #[test]
@@ -180,7 +193,7 @@ fn autotune_on_strided_shape_pins_a_gemm_class_backend() {
     eng.conv(&h, &x, &w, &s, &Epilogue::None).unwrap();
     let winner = eng.pinned_choice(&s).unwrap();
     assert!(
-        ["im2col-gemm-nhwc", "im2col-gemm-nchw", "direct", "im2col-indirect"].contains(&winner),
+        ["direct", "im2col-indirect"].contains(&winner),
         "strided shape pinned {winner}, but only GEMM-class backends are eligible"
     );
 }

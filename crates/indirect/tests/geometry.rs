@@ -1,15 +1,75 @@
-//! Property sweep over indirection-table geometry (ISSUE-10 satellite):
-//! padding rows hitting the zero-row, `OW < NR` edge tiles, `K = FH·FW·IC`
-//! straddling the GEMM's KC chunk, asymmetric strides and pads. The
-//! indirect path must be **bitwise** equal to the materialising im2col
-//! baseline on every draw — both feed the same packed GEMM in the same
-//! ascending-k order. check.sh runs this net on both dispatch lanes
-//! (native and `IWINO_FORCE_SCALAR=1`).
+//! Bitwise pins of the indirect GEMM against a materialised im2col
+//! reference, over indirection-table geometry: padding rows hitting the
+//! zero-row, `OW < NR` edge tiles, `K = FH·FW·IC` straddling the GEMM's KC
+//! chunk, asymmetric strides and pads. The reference builds the full
+//! `N·OH·OW × K` patch matrix and multiplies it by the HWIO filter with
+//! `sgemm_naive`; the packed GEMM performs the same ascending-k operation
+//! sequence per element, so the indirect output must match it **bitwise**.
+//! check.sh runs this net on both dispatch lanes (native and
+//! `IWINO_FORCE_SCALAR=1`).
 
-use iwino_baselines::{im2col_conv_nhwc, Im2colPlan};
+use iwino_baselines::sgemm_naive;
 use iwino_indirect::indirect_conv;
-use iwino_tensor::{ConvShape, Tensor4};
+use iwino_tensor::{transpose_filter_to_hwio, ConvShape, Tensor4};
 use proptest::prelude::*;
+
+/// `im2col(x) · W`: the patch matrix has one row per output pixel, `K`
+/// ordered `(fh, fw, ic)` to match the HWIO flattening, zeros under
+/// padding.
+fn im2col_reference(x: &Tensor4<f32>, w: &Tensor4<f32>, s: &ConvShape) -> Vec<f32> {
+    let (oh, ow, k) = (s.oh(), s.ow(), s.fh * s.fw * s.ic);
+    let rows = s.n * oh * ow;
+    let mut patch = vec![0.0f32; rows * k];
+    for (row, p) in patch.chunks_exact_mut(k).enumerate() {
+        let (b, oy, ox) = (row / (oh * ow), row / ow % oh, row % ow);
+        for fy in 0..s.fh {
+            for fx in 0..s.fw {
+                let iy = (oy * s.sh + fy) as isize - s.ph as isize;
+                let ix = (ox * s.sw + fx) as isize - s.pw as isize;
+                if iy < 0 || ix < 0 || iy >= s.ih as isize || ix >= s.iw as isize {
+                    continue;
+                }
+                for i in 0..s.ic {
+                    p[(fy * s.fw + fx) * s.ic + i] = x.at(b, iy as usize, ix as usize, i);
+                }
+            }
+        }
+    }
+    let mut y = vec![0.0f32; rows * s.oc];
+    sgemm_naive(rows, s.oc, k, &patch, transpose_filter_to_hwio(w).as_slice(), &mut y);
+    y
+}
+
+#[test]
+fn matches_im2col_bitwise_across_strides() {
+    for s in [
+        ConvShape::square(2, 9, 3, 5, 3),
+        ConvShape {
+            sh: 2,
+            sw: 2,
+            ..ConvShape::square(1, 11, 4, 7, 3)
+        },
+        ConvShape {
+            sh: 3,
+            sw: 3,
+            ..ConvShape::square(2, 13, 2, 4, 5)
+        },
+        ConvShape {
+            sh: 2,
+            sw: 3,
+            ..ConvShape::square(1, 12, 3, 8, 3)
+        },
+    ] {
+        let x = Tensor4::<f32>::random(s.x_dims(), 91, -1.0, 1.0);
+        let w = Tensor4::<f32>::random(s.w_dims(), 92, -1.0, 1.0);
+        let got = indirect_conv(&x, &w, &s);
+        let want = im2col_reference(&x, &w, &s);
+        assert_eq!(got.dims(), s.y_dims());
+        for (i, (a, b)) in got.as_slice().iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{s:?} idx {i}: {a:?} vs im2col {b:?}");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -36,9 +96,9 @@ proptest! {
         let x = Tensor4::<f32>::random(s.x_dims(), seed, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), seed + 1, -1.0, 1.0);
         let got = indirect_conv(&x, &w, &s);
-        let want = im2col_conv_nhwc(&x, &w, &Im2colPlan::new(&s));
+        let want = im2col_reference(&x, &w, &s);
         prop_assert_eq!(got.dims(), s.y_dims());
-        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        for (i, (a, b)) in got.as_slice().iter().zip(&want).enumerate() {
             prop_assert_eq!(
                 a.to_bits(), b.to_bits(),
                 "{:?} idx {}: {:?} vs im2col {:?}", s, i, a, b

@@ -9,8 +9,9 @@
 //!   the indirect-convolution GEMM (`im2col-indirect`) — "Im2col-Winograd
 //!   is employed for unit-stride convolution and deconvolution, while
 //!   other algorithms handle the non-unit-stride cases".
-//! * [`Backend::Gemm`] — forces the `im2col-gemm-nhwc` registry backend:
-//!   the "PyTorch" control arm of Experiment 3.
+//! * [`Backend::Gemm`] — forces the `im2col-indirect` registry backend
+//!   (the engine's one GEMM-class path): the "PyTorch" control arm of
+//!   Experiment 3.
 //!
 //! Because plans are cached per `(shape, filter-epoch)` in the engine,
 //! repeated same-shape forwards (the serving scenario) reuse the
@@ -32,7 +33,7 @@ use std::sync::Arc;
 pub enum Backend {
     /// The paper's algorithm ("Alpha" arm).
     ImcolWinograd,
-    /// im2col + GEMM everywhere ("PyTorch" arm).
+    /// Indirect GEMM everywhere ("PyTorch" arm).
     Gemm,
 }
 
@@ -40,7 +41,7 @@ impl Backend {
     fn policy(self) -> SelectionPolicy {
         match self {
             Backend::ImcolWinograd => SelectionPolicy::Heuristic,
-            Backend::Gemm => SelectionPolicy::Force("im2col-gemm-nhwc".into()),
+            Backend::Gemm => SelectionPolicy::Force("im2col-indirect".into()),
         }
     }
 }
@@ -188,8 +189,8 @@ impl Layer for Conv2d {
         self.ensure_weight_tensor();
         let w = self.weight_t.as_ref().unwrap();
         // Bias/activation are fused into the Winograd row pass (cache-hot
-        // epilogue); GEMM-class backends apply the identical arithmetic
-        // after their row GEMMs, inside the engine.
+        // epilogue); the indirect GEMM applies the identical arithmetic
+        // after its GEMM, inside the engine.
         let y = Engine::global()
             .conv(&self.handle, x, w, &s, &epilogue)
             .unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -11,11 +11,12 @@
 //! cargo run --release --example deconv_upsampling
 //! ```
 
-use im2col_winograd::core::{conv2d, deconv2d};
+use im2col_winograd::core::{conv2d, deconv2d, ConvError, ConvOptions};
 use im2col_winograd::tensor::{ConvShape, Tensor4};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), ConvError> {
+    let opts = ConvOptions::default();
     let shape = ConvShape::square(4, 32, 64, 64, 5);
     println!("layer: {shape:?} (Γ8(4,5) territory)\n");
     let x = Tensor4::<f32>::random(shape.x_dims(), 1, -1.0, 1.0);
@@ -23,8 +24,8 @@ fn main() {
     let dy = Tensor4::<f32>::random(shape.y_dims(), 3, -1.0, 1.0);
 
     // (1) adjointness: ⟨conv(x), dy⟩ == ⟨x, deconv(dy)⟩.
-    let y = conv2d(&x, &w, &shape);
-    let dx = deconv2d(&dy, &w, &shape);
+    let y = conv2d(&x, &w, &shape, &opts)?;
+    let dx = deconv2d(&dy, &w, &shape, &opts)?;
     let lhs: f64 = y
         .as_slice()
         .iter()
@@ -44,12 +45,12 @@ fn main() {
     let reps = 5;
     let t0 = Instant::now();
     for _ in 0..reps {
-        let _ = conv2d(&x, &w, &shape);
+        conv2d(&x, &w, &shape, &opts)?;
     }
     let fwd = t0.elapsed().as_secs_f64() / reps as f64;
     let t0 = Instant::now();
     for _ in 0..reps {
-        let _ = deconv2d(&dy, &w, &shape);
+        deconv2d(&dy, &w, &shape, &opts)?;
     }
     let bwd = t0.elapsed().as_secs_f64() / reps as f64;
     println!(
@@ -65,7 +66,7 @@ fn main() {
     let mut delta = Tensor4::<f32>::zeros(small.y_dims());
     *delta.at_mut(0, 4, 4, 0) = 1.0;
     let w1 = Tensor4::<f32>::random(small.w_dims(), 9, 0.5, 1.0);
-    let spread = deconv2d(&delta, &w1, &small);
+    let spread = deconv2d(&delta, &w1, &small, &opts)?;
     println!("\ndelta-gradient footprint (3x3 filter, delta at centre):");
     for iy in 0..9 {
         let row: String = (0..9)
@@ -82,4 +83,5 @@ fn main() {
     let nonzero = spread.as_slice().iter().filter(|v| v.abs() > 1e-9).count();
     assert_eq!(nonzero, 9, "3x3 footprint expected");
     println!("\nok: gradient lands on exactly the 3x3 input footprint.");
+    Ok(())
 }

@@ -13,7 +13,7 @@
 
 use im2col_winograd::baselines::direct_conv_f64_ref;
 use im2col_winograd::core::plan::KernelChoice;
-use im2col_winograd::core::{conv2d_opts, default_kernel_prefs, ConvOptions, SegmentPlan};
+use im2col_winograd::core::{conv2d, default_kernel_prefs, ConvOptions, SegmentPlan};
 use im2col_winograd::tensor::{ConvShape, ErrorStats, Tensor4};
 use std::time::Instant;
 
@@ -44,12 +44,12 @@ fn main() {
             })
             .collect();
 
-        let _ = conv2d_opts(&x, &w, &shape, &opts); // warm
+        conv2d(&x, &w, &shape, &opts).unwrap(); // warm
         let reps = 3;
         let t0 = Instant::now();
         let mut y = None;
         for _ in 0..reps {
-            y = Some(conv2d_opts(&x, &w, &shape, &opts));
+            y = Some(conv2d(&x, &w, &shape, &opts).unwrap());
         }
         let dt = t0.elapsed().as_secs_f64() / reps as f64;
         let y = y.unwrap();

@@ -77,23 +77,6 @@ echo "== perf-regression gate (bench-compare over the committed PR-5 pair) =="
 cargo run --offline --release -p iwino-bench --bin repro -- \
   bench-compare BENCH_pr5_baseline.json BENCH_pr5_after.json --max-regression 10 --force
 
-echo "== perf-regression gate (bench-compare over the committed PR-9 GEMM pair) =="
-# Diffs the committed packed-SGEMM A/B (seed broadcast-row GEMM vs the
-# Goto-style packed kernel) over the Fig 7-9 im2col shapes: the
-# after-document must hold every case within 10% of its baseline. Both
-# documents carry dispatch records, so ISA parity is checked for real.
-cargo run --offline --release -p iwino-bench --bin repro -- \
-  bench-compare BENCH_pr9_baseline.json BENCH_pr9_after.json --max-regression 10
-
-echo "== perf-regression gate (bench-compare over the committed PR-10 indirect pair) =="
-# Diffs the committed indirect-convolution A/B (the same small-OW / strided
-# frontier shapes run through im2col-gemm-nhwc vs im2col-indirect): the
-# indirect arm must hold every case within 10% of the materialising im2col
-# baseline — it beats it outright on the strided and large-filter cases.
-# Both documents carry dispatch records, so ISA parity is checked for real.
-cargo run --offline --release -p iwino-bench --bin repro -- \
-  bench-compare BENCH_pr10_baseline.json BENCH_pr10_after.json --max-regression 10
-
 echo "== engine smoke (every registry backend vs the f64 reference) =="
 # Drives all of BACKEND_NAMES by name through iwino-engine, checks each
 # against direct_conv_f64_ref, and prints plan-cache/arena stats. Exits

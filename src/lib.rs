@@ -4,19 +4,20 @@
 //!
 //! This umbrella crate re-exports the workspace:
 //!
-//! * [`core`] — the paper's algorithm: `Γα(n, r)` convolution,
-//!   deconvolution, filter gradients, the boundary planner, and the §4.2
-//!   ND extension;
-//! * [`engine`] — the dispatch surface: algorithm registry, per-shape plan
-//!   cache (transformed-filter banks built once), arena-backed workspace
-//!   pool, and the §5.7 selection policy;
-//! * [`baselines`] — direct / im2col-GEMM / fused 2-D Winograd comparators;
+//! * [`core`] — the paper's algorithm: unit-stride `Γα(n, r)`
+//!   convolution, deconvolution, filter gradients, the boundary planner,
+//!   and the §4.2 ND extension;
+//! * [`engine`] — the one dispatch surface: algorithm registry, per-shape
+//!   plan cache (transformed-filter banks built once), arena-backed
+//!   workspace pool, and the §5.7 selection policy (Γ or the indirect GEMM);
+//! * [`baselines`] — direct / NCHW im2col-GEMM / fused 2-D Winograd / FFT
+//!   comparators;
 //! * [`gemm`] — the packed, register-blocked SGEMM behind every GEMM-class
 //!   path (Goto-style cache blocking, ISA-dispatched 6×16 register tile);
 //! * [`indirect`] — the indirect-convolution backend: per-shape offset
 //!   tables (stride/padding-aware, batch-relocatable) gathered straight
-//!   into the packed SGEMM's A-panels — the engine's route for strided
-//!   and extra-wide-filter shapes;
+//!   into the packed SGEMM's A-panels — the engine's one GEMM-class path,
+//!   for strided, deep-K and extra-wide-filter shapes;
 //! * [`transforms`] — exact Cook–Toom transform generation;
 //! * [`tensor`] — NHWC tensors and shapes;
 //! * [`gpu_sim`] — the RTX 3060 Ti / RTX 4090 cost model;
@@ -35,7 +36,7 @@
 //! let shape = ConvShape::square(1, 12, 8, 8, 3); // batch, h=w, ic, oc, r
 //! let x = Tensor4::<f32>::random(shape.x_dims(), 1, -1.0, 1.0);
 //! let w = Tensor4::<f32>::random(shape.w_dims(), 2, -1.0, 1.0);
-//! let y = conv2d(&x, &w, &shape);
+//! let y = conv2d(&x, &w, &shape, &ConvOptions::default()).unwrap();
 //! assert_eq!(y.dims(), shape.y_dims());
 //! ```
 //!
@@ -61,7 +62,7 @@
 //! let shape = ConvShape::square(1, 10, 4, 4, 5);
 //! let x = Tensor4::<f32>::random(shape.x_dims(), 3, 1.0, 2.0);
 //! let w = Tensor4::<f32>::random(shape.w_dims(), 4, 1.0, 2.0);
-//! let fast = conv2d(&x, &w, &shape);
+//! let fast = conv2d(&x, &w, &shape, &ConvOptions::default()).unwrap();
 //! let exact = direct_conv_f64_ref(&x, &w, &shape);
 //! let err = ErrorStats::between(&fast, &exact);
 //! assert!(err.mean < 1e-5); // Table 3 territory
@@ -87,7 +88,7 @@ pub use iwino_transforms as transforms;
 /// The handful of names almost every user needs.
 pub mod prelude {
     pub use iwino_core::{
-        auto_options, conv1d, conv2d, conv2d_opts, conv3d, deconv2d, filter_grad, ConvOptions, GammaSpec, Variant,
+        auto_options, conv1d, conv2d, conv3d, deconv2d, filter_grad, ConvOptions, GammaSpec, Variant,
     };
     pub use iwino_tensor::{Conv3dShape, ConvShape, ErrorStats, Tensor4, Tensor5};
 }

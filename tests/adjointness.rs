@@ -2,7 +2,7 @@
 //! backward-filter triple — the property that makes gradient descent with
 //! these kernels mathematically sound.
 
-use im2col_winograd::core::{conv2d, deconv2d, filter_grad};
+use im2col_winograd::core::{conv2d, deconv2d, filter_grad, ConvOptions};
 use im2col_winograd::nn::conv::backward_data_direct;
 use im2col_winograd::tensor::{ConvShape, Tensor4};
 use proptest::prelude::*;
@@ -28,8 +28,9 @@ proptest! {
         let x = Tensor4::<f32>::random(s.x_dims(), seed, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), seed + 1, -1.0, 1.0);
         let dy = Tensor4::<f32>::random(s.y_dims(), seed + 2, -1.0, 1.0);
-        let lhs = dot(&conv2d(&x, &w, &s), &dy);
-        let rhs = dot(&x, &deconv2d(&dy, &w, &s));
+        let opts = ConvOptions::default();
+        let lhs = dot(&conv2d(&x, &w, &s, &opts).unwrap(), &dy);
+        let rhs = dot(&x, &deconv2d(&dy, &w, &s, &opts).unwrap());
         prop_assert!((lhs - rhs).abs() < 2e-3 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
     }
 
@@ -77,7 +78,7 @@ fn fused_rotation_equals_explicit_rotation() {
         let s = ConvShape::square(1, 14, 3, 5, r);
         let dy = Tensor4::<f32>::random(s.y_dims(), 77 + r as u64, -1.0, 1.0);
         let w = Tensor4::<f32>::random(s.w_dims(), 88 + r as u64, -1.0, 1.0);
-        let fused = deconv2d(&dy, &w, &s);
+        let fused = deconv2d(&dy, &w, &s, &ConvOptions::default()).unwrap();
         let wr = im2col_winograd::tensor::rotate_filter_180(&w);
         let bw = ConvShape::unit(s.n, s.oh(), s.ow(), s.oc, s.ic, r, r, r - 1 - s.ph, r - 1 - s.pw);
         let explicit = im2col_winograd::baselines::direct_conv(&dy, &wr, &bw);

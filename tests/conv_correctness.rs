@@ -1,8 +1,9 @@
 //! Cross-crate correctness: every convolution algorithm in the workspace
 //! must agree with the FP64 direct reference on the same inputs.
 
-use im2col_winograd::baselines::{direct_conv_f64_ref, im2col_conv_nhwc, winograd2d_conv, Im2colPlan};
-use im2col_winograd::core::{conv2d_opts, ConvOptions, GammaSpec, Variant};
+use im2col_winograd::baselines::{direct_conv_f64_ref, winograd2d_conv};
+use im2col_winograd::core::{conv2d, ConvOptions, GammaSpec, Variant};
+use im2col_winograd::indirect::indirect_conv;
 use im2col_winograd::tensor::{max_mixed_error, ConvShape, Tensor4};
 use proptest::prelude::*;
 
@@ -11,12 +12,11 @@ fn agree(shape: &ConvShape, opts: &ConvOptions, seed: u64, tol: f64) {
     let w = Tensor4::<f32>::random(shape.w_dims(), seed + 1, -1.0, 1.0);
     let truth = direct_conv_f64_ref(&x, &w, shape);
 
-    let wino = conv2d_opts(&x, &w, shape, opts);
+    let wino = conv2d(&x, &w, shape, opts).unwrap();
     let e = max_mixed_error(&wino, &truth);
     assert!(e < tol, "winograd {shape:?}: {e}");
 
-    let plan = Im2colPlan::new(shape);
-    let gemm = im2col_conv_nhwc(&x, &w, &plan);
+    let gemm = indirect_conv(&x, &w, shape);
     let e = max_mixed_error(&gemm, &truth);
     assert!(e < 1e-4, "gemm {shape:?}: {e}");
 }
@@ -70,9 +70,8 @@ fn winograd_vs_gemm_bitwise_class_agreement() {
     let shape = ConvShape::square(1, 23, 16, 24, 3);
     let x = Tensor4::<f32>::random(shape.x_dims(), 50, -1.0, 1.0);
     let w = Tensor4::<f32>::random(shape.w_dims(), 51, -1.0, 1.0);
-    let a = im2col_winograd::core::conv2d(&x, &w, &shape);
-    let plan = Im2colPlan::new(&shape);
-    let b = im2col_conv_nhwc(&x, &w, &plan);
+    let a = conv2d(&x, &w, &shape, &ConvOptions::default()).unwrap();
+    let b = indirect_conv(&x, &w, &shape);
     assert!(max_mixed_error(&a, &b) < 2e-4);
 }
 

@@ -1,10 +1,11 @@
 //! End-to-end checks of the paper's headline experimental claims, at
 //! CI-friendly scale. EXPERIMENTS.md records the full-size counterparts.
 
-use im2col_winograd::baselines::{direct_conv_f64_ref, im2col_conv_nhwc, Im2colPlan};
-use im2col_winograd::core::{conv2d_opts, ConvOptions, GammaSpec, Variant};
+use im2col_winograd::baselines::direct_conv_f64_ref;
+use im2col_winograd::core::{conv2d, ConvOptions, GammaSpec, Variant};
 use im2col_winograd::gpu_sim::model::{Algorithm, Layout};
 use im2col_winograd::gpu_sim::DeviceSpec;
+use im2col_winograd::indirect::indirect_conv;
 use im2col_winograd::tensor::{ConvShape, ErrorStats, Tensor4};
 
 /// Table 3's error ordering: Γ8 ≈ 1e-7, Γ16 ≈ 1e-5, both beating the f32
@@ -22,12 +23,11 @@ fn accuracy_orders_match_table3() {
             force_kernels: Some(vec![spec]),
             ..Default::default()
         };
-        let gamma_err = ErrorStats::between(&conv2d_opts(&x, &w, &shape, &opts), &truth).mean;
-        let plan = Im2colPlan::new(&shape);
-        let gemm_err = ErrorStats::between(&im2col_conv_nhwc(&x, &w, &plan), &truth).mean;
+        let gamma_err = ErrorStats::between(&conv2d(&x, &w, &shape, &opts).unwrap(), &truth).mean;
+        let gemm_err = ErrorStats::between(&indirect_conv(&x, &w, &shape), &truth).mean;
         assert!(gamma_err < bound, "Γ{alpha}({n},{r}) err {gamma_err}");
         // The paper's cuDNN GEMM carries 1e-5-class errors, so every Γ beats
-        // it; our own im2col+GEMM accumulates more tightly (~1e-7), so the
+        // it; our own indirect GEMM accumulates more tightly (~1e-7), so the
         // "beats GEMM" relation only holds for the Γ8 kernels here (see
         // EXPERIMENTS.md, Experiment 2 divergence note).
         if alpha == 8 {
@@ -98,21 +98,22 @@ fn cpu_winograd_not_slower_than_gemm_class() {
     let shape = ConvShape::square(2, 24, 32, 32, 3);
     let x = Tensor4::<f32>::random(shape.x_dims(), 3, -1.0, 1.0);
     let w = Tensor4::<f32>::random(shape.w_dims(), 4, -1.0, 1.0);
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
     let opts = ConvOptions::default();
-    let _ = conv2d_opts(&x, &w, &shape, &opts);
-    let t0 = Instant::now();
-    for _ in 0..3 {
-        let _ = conv2d_opts(&x, &w, &shape, &opts);
+    conv2d(&x, &w, &shape, &opts).unwrap();
+    indirect_conv(&x, &w, &shape);
+    // Interleaved reps, best of each: the other tests in this binary share
+    // the thread pool, and back-to-back blocks would charge their load to
+    // whichever algorithm happened to run first.
+    let (mut wino, mut gemm) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        conv2d(&x, &w, &shape, &opts).unwrap();
+        wino = wino.min(t0.elapsed());
+        let t0 = Instant::now();
+        indirect_conv(&x, &w, &shape);
+        gemm = gemm.min(t0.elapsed());
     }
-    let wino = t0.elapsed();
-    let plan = Im2colPlan::new(&shape);
-    let _ = im2col_conv_nhwc(&x, &w, &plan);
-    let t0 = Instant::now();
-    for _ in 0..3 {
-        let _ = im2col_conv_nhwc(&x, &w, &plan);
-    }
-    let gemm = t0.elapsed();
     // Loose: don't fail CI on noise; winograd should be within 2x either way
     // and usually faster (the repro harness measures this properly).
     assert!(wino < gemm * 2, "winograd {wino:?} vs gemm {gemm:?}");

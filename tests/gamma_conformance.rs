@@ -57,7 +57,7 @@ fn check_forced(alpha: usize, n: usize, r: usize, variant: Variant, ic: usize, o
         force_kernels: Some(vec![GammaSpec::new(alpha, n, r, variant)]),
         ..Default::default()
     };
-    let got = conv2d_opts(&x, &w, &s, &opts);
+    let got = conv2d(&x, &w, &s, &opts).unwrap();
     if alpha == 16 {
         let stats = ErrorStats::between(&got, &want);
         assert!(
@@ -115,7 +115,8 @@ fn conv_bits(
         force_kernels: Some(vec![GammaSpec::new(alpha, n, r, variant)]),
         ..Default::default()
     };
-    conv2d_opts(&x, &w, &s, &opts)
+    conv2d(&x, &w, &s, &opts)
+        .unwrap()
         .as_slice()
         .iter()
         .map(|v| v.to_bits())

@@ -14,7 +14,7 @@ fn depth1_conv3d_equals_conv2d() {
     let s2 = ConvShape::square(n, hw, ic, oc, r);
     let x2 = Tensor4::<f32>::random(s2.x_dims(), 900, -1.0, 1.0);
     let w2 = Tensor4::<f32>::random(s2.w_dims(), 901, -1.0, 1.0);
-    let y2 = conv2d(&x2, &w2, &s2);
+    let y2 = conv2d(&x2, &w2, &s2, &ConvOptions::default()).unwrap();
 
     // Same data viewed as a depth-1 volume with FD = 1 and pd = 0.
     let s3 = Conv3dShape {
