@@ -76,9 +76,8 @@ pub fn direct_conv_f64_ref(x: &Tensor4<f32>, w: &Tensor4<f32>, shape: &ConvShape
 
 /// Direct backward-data for arbitrary stride: scatter-free gather form —
 /// `dx[b, iy, ix, ic] = Σ_{oc, fh, fw} dy[b, oy, ox, oc] · w[oc, fh, fw, ic]`
-/// over the `(oy, ox)` that map onto `(iy, ix)`. The GEMM-class fallback
-/// for strided deconvolution (§5.7's "other algorithms handle the
-/// non-unit-stride cases").
+/// over the `(oy, ox)` that map onto `(iy, ix)`. The schoolbook reference
+/// for backward-data; the engine runs it only when `direct` is forced.
 pub fn direct_backward_data(dy: &Tensor4<f32>, w: &Tensor4<f32>, s: &ConvShape) -> Tensor4<f32> {
     let (oh, ow) = (s.oh(), s.ow());
     let _b = obs::span(obs::Stage::Baseline);

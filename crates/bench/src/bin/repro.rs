@@ -766,6 +766,19 @@ fn engine(mode: &Mode) {
             r.backend, r.shape, r.max_error, r.gflops
         );
     }
+    println!("\n(training backward passes through the engine, checked by the adjoint");
+    println!(" identity <conv(x,W), dy> = <x, dx> = <W, dW> in f64)");
+    let backward = match iwino_bench::backward_smoke() {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("engine backward smoke FAILED: {e}");
+            std::process::exit(1);
+        }
+    };
+    println!("{:<20} {:<14} {:>12}", "pass", "shape", "rel error");
+    for r in &backward {
+        println!("{:<20} {:<14} {:>12.2e}", r.pass, r.shape, r.rel_error);
+    }
     let st = iwino_engine::Engine::global().stats();
     println!(
         "\nplan cache: {} hits / {} misses / {} evictions; {} plans resident ({} KB)",
@@ -785,6 +798,10 @@ fn engine(mode: &Mode) {
         (
             "backends",
             Json::Arr(rows.iter().map(iwino_bench::EngineSmokeRow::to_json).collect()),
+        ),
+        (
+            "backward",
+            Json::Arr(backward.iter().map(iwino_bench::BackwardSmokeRow::to_json).collect()),
         ),
         (
             "engine_stats",

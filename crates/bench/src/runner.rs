@@ -738,6 +738,83 @@ pub fn engine_smoke(reps: usize) -> Result<Vec<EngineSmokeRow>, String> {
     Ok(rows)
 }
 
+/// One row of the `repro engine` backward smoke: a training backward pass
+/// driven through the engine and checked by its adjoint identity, both
+/// sides accumulated in f64 (the forward side from `direct_conv_f64_ref`).
+#[derive(Clone, Debug)]
+pub struct BackwardSmokeRow {
+    pub pass: &'static str,
+    pub shape: String,
+    /// `|lhs − rhs| / max(|lhs|, 1)` of the adjoint identity.
+    pub rel_error: f64,
+}
+
+impl BackwardSmokeRow {
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("pass", Json::from(self.pass)),
+            ("shape", Json::from(self.shape.as_str())),
+            ("rel_error", Json::from(self.rel_error)),
+        ])
+    }
+}
+
+/// Drive `Engine::backward_data` (unit stride → Γ deconv, stride 2 → the
+/// indirect GEMM + col2im) and `Engine::filter_grad` on the global engine
+/// and check each against the adjoint identity
+/// `⟨conv(x, W), dy⟩ = ⟨x, dx⟩ = ⟨W, dW⟩` in f64. A pass that errors or
+/// misses the identity by more than 1e-4 (relative) comes back as a message
+/// naming it — the CI smoke turns that into a nonzero exit.
+pub fn backward_smoke() -> Result<Vec<BackwardSmokeRow>, String> {
+    let eng = Engine::global();
+    let h = Handle::default();
+    let dot = |a: &[f32], b: &[f32]| -> f64 { a.iter().zip(b).map(|(&p, &q)| p as f64 * q as f64).sum() };
+    let mut rows = Vec::new();
+    for shape in [
+        ConvShape::square(2, 12, 4, 8, 3),
+        ConvShape {
+            sh: 2,
+            sw: 2,
+            ..ConvShape::square(2, 11, 16, 8, 3)
+        },
+    ] {
+        let x = Tensor4::<f32>::random(shape.x_dims(), 83, -1.0, 1.0);
+        let w = Tensor4::<f32>::random(shape.w_dims(), 84, -1.0, 1.0);
+        let dy = Tensor4::<f32>::random(shape.y_dims(), 85, -1.0, 1.0);
+        let y = direct_conv_f64_ref(&x, &w, &shape);
+        let lhs: f64 = y
+            .as_slice()
+            .iter()
+            .zip(dy.as_slice())
+            .map(|(&p, &q)| p * q as f64)
+            .sum();
+        let dx = eng
+            .backward_data(&h, &dy, &w, &shape)
+            .map_err(|e| format!("backward_data on {shape:?}: {e}"))?;
+        let dw = eng
+            .filter_grad(&x, &dy, &shape)
+            .map_err(|e| format!("filter_grad on {shape:?}: {e}"))?;
+        for (pass, rhs) in [
+            ("backward_data", dot(x.as_slice(), dx.as_slice())),
+            ("filter_grad", dot(w.as_slice(), dw.as_slice())),
+        ] {
+            let rel_error = (lhs - rhs).abs() / lhs.abs().max(1.0);
+            if rel_error >= 1e-4 {
+                return Err(format!(
+                    "{pass} on {shape:?}: adjoint identity off by {rel_error:.2e} ({lhs} vs {rhs})"
+                ));
+            }
+            let (n, ih, iw, s) = (shape.n, shape.ih, shape.iw, shape.sh);
+            rows.push(BackwardSmokeRow {
+                pass,
+                shape: format!("{n}x{ih}x{iw} s{s}"),
+                rel_error,
+            });
+        }
+    }
+    Ok(rows)
+}
+
 /// One row of `repro validate-model`: a pipeline stage with its measured
 /// (CPU, via `iwino-obs`) and predicted (gpu-sim op-count model) share.
 #[derive(Clone, Debug)]
@@ -940,6 +1017,23 @@ mod tests {
         let names: Vec<&str> = rows.iter().map(|r| r.backend).collect();
         assert_eq!(names, iwino_engine::BACKEND_NAMES.to_vec());
         assert!(rows.iter().all(|r| r.gflops > 0.0 && r.max_error < 1e-3));
+    }
+
+    #[test]
+    fn backward_smoke_checks_both_passes_at_both_strides() {
+        let _guard = crate::kernel_test_guard();
+        let rows = backward_smoke().expect("smoke must pass");
+        let got: Vec<(&str, &str)> = rows.iter().map(|r| (r.pass, &r.shape[r.shape.len() - 2..])).collect();
+        assert_eq!(
+            got,
+            [
+                ("backward_data", "s1"),
+                ("filter_grad", "s1"),
+                ("backward_data", "s2"),
+                ("filter_grad", "s2")
+            ]
+        );
+        assert!(rows.iter().all(|r| r.rel_error < 1e-4));
     }
 
     #[test]

@@ -28,13 +28,16 @@
 //! * [`PreparedConv`] — the same fused path split into plan + filter
 //!   transform once, then execute many times with an optional fused
 //!   epilogue (bias / activation);
-//! * [`filter_grad`] — the backward-filter pass used for CNN training;
 //! * [`plan`] — the §5.5 boundary treatment: `OW` is split into segments,
 //!   each covered exactly by a kernel, fastest kernel first, GEMM-style
 //!   direct convolution for the remainder (Figure 7);
 //! * [`kernel`] — the cache-blocked `Γα(n, r)` row kernel with the paper's
 //!   `BN×BM×BK` blocking and the `ruse`/`c64` variants (§5.4, §5.6);
 //! * [`filter`] — fused filter transforms (forward, and rotated for deconv).
+//!
+//! The crate is Γ-only. The training filter gradient is not a Winograd pass
+//! (the paper does not Winograd it either); it is a GEMM through the
+//! indirection table, `iwino_engine::Engine::filter_grad`.
 //!
 //! # CPU adaptation
 //!
@@ -54,7 +57,6 @@ pub mod conv;
 pub mod conv1d;
 pub mod error;
 pub mod filter;
-pub mod grad;
 pub mod kernel;
 pub mod nd;
 pub mod plan;
@@ -65,7 +67,6 @@ pub use conv::{auto_options, conv2d, deconv2d, ConvOptions, Epilogue, PreparedCo
 pub use conv1d::{conv1d, conv1d_opts};
 pub use error::ConvError;
 pub use filter::TransformedFilter;
-pub use grad::filter_grad;
 pub use kernel::{GammaKernel, Variant};
 pub use nd::{conv3d, conv3d_opts};
 pub use plan::{

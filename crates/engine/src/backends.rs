@@ -128,9 +128,8 @@ impl ConvPlan for WinogradPlan {
 
 // ------------------------------------------------------------------ direct
 
-/// Schoolbook convolution: supports everything, fast at nothing. Also the
-/// backward-data fallback for strided shapes (§5.7's "other algorithms
-/// handle the non-unit-stride cases").
+/// Schoolbook convolution: supports everything, fast at nothing. Its
+/// backward-data plan runs only when `direct` is forced by name.
 pub struct DirectBackend;
 
 struct DirectPlan {
@@ -217,7 +216,10 @@ impl ConvAlgorithm for Winograd2dBackend {
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
         if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
+            return Err(unsupported(
+                self.name(),
+                "no backward-data path; it runs through `im2col-indirect`",
+            ));
         }
         if !self.supports(s) {
             return Err(unsupported(self.name(), "3×3 unit-stride only (§6.1.1)"));
@@ -279,7 +281,10 @@ impl ConvAlgorithm for FftBackend {
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
         if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
+            return Err(unsupported(
+                self.name(),
+                "no backward-data path; it runs through `im2col-indirect`",
+            ));
         }
         if !self.supports(s) {
             return Err(ConvError::NonUnitStride {
@@ -326,12 +331,15 @@ impl ConvPlan for FftPlan {
 /// the table next to the pre-packed HWIO filter — both shape-keyed, both
 /// batch-relocatable — and arbitrary stride falls out of the table build,
 /// making this the engine's one GEMM-class path: deep-K, strided and
-/// large-filter shapes all run here.
+/// large-filter shapes all run here. A backward-data plan holds the same
+/// table next to the native `OC×FH·FW·IC` filter matrix and scatters
+/// `dY·W` back through the table (col2im).
 pub struct IndirectBackend;
 
 struct IndirectPlan {
     table: iwino_indirect::IndirectTable,
     w_packed: iwino_gemm::PackedB,
+    deconv: bool,
 }
 
 impl ConvAlgorithm for IndirectBackend {
@@ -351,14 +359,18 @@ impl ConvAlgorithm for IndirectBackend {
     }
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
-        if deconv {
-            return Err(unsupported(self.name(), "backward-data runs through `direct`"));
-        }
         expect_dims("filter", w.dims(), s.w_dims())?;
-        let wmat = transpose_filter_to_hwio(w);
+        let k = s.fh * s.fw * s.ic;
+        let w_packed = if deconv {
+            // Native OHWI already is the row-major `OC×K` matrix `dY·W` needs.
+            iwino_gemm::PackedB::pack(s.oc, k, w.as_slice())
+        } else {
+            iwino_gemm::PackedB::pack(k, s.oc, transpose_filter_to_hwio(w).as_slice())
+        };
         Ok(Arc::new(IndirectPlan {
             table: iwino_indirect::IndirectTable::build(s),
-            w_packed: iwino_gemm::PackedB::pack(s.fh * s.fw * s.ic, s.oc, wmat.as_slice()),
+            w_packed,
+            deconv,
         }))
     }
 }
@@ -378,9 +390,16 @@ impl ConvPlan for IndirectPlan {
 
     fn run(&self, x: &Tensor4<f32>, epilogue: &Epilogue, arena: &WorkspacePool) -> Result<Tensor4<f32>, ConvError> {
         let s = self.table.shape();
-        expect_dims("input", x.dims(), s.x_dims())?;
-        let mut y = iwino_indirect::indirect_conv_nhwc_packed(x, &self.w_packed, &self.table, arena);
-        epilogue.apply(y.as_mut_slice(), s.oc);
-        Ok(y)
+        if self.deconv {
+            expect_dims("dy", x.dims(), s.y_dims())?;
+            let mut dx = iwino_indirect::indirect_backward_data_packed(x, &self.w_packed, &self.table, arena);
+            epilogue.apply(dx.as_mut_slice(), s.ic);
+            Ok(dx)
+        } else {
+            expect_dims("input", x.dims(), s.x_dims())?;
+            let mut y = iwino_indirect::indirect_conv_nhwc_packed(x, &self.w_packed, &self.table, arena);
+            epilogue.apply(y.as_mut_slice(), s.oc);
+            Ok(y)
+        }
     }
 }

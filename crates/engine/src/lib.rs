@@ -38,6 +38,7 @@ pub use backends::{WinogradBackend, BACKEND_NAMES};
 pub use cache::FilterId;
 
 use cache::{PlanCache, PlanKey};
+use iwino_core::error::expect_dims;
 use iwino_core::{AlgorithmClass, ConvError, Epilogue};
 use iwino_obs as obs;
 use iwino_tensor::{ConvShape, Tensor4};
@@ -67,7 +68,8 @@ pub trait ConvAlgorithm: Send + Sync {
     /// Build a plan for `shape` around filter `w` (`OC×FH×FW×IC`). With
     /// `deconv`, the plan computes backward-data: its input is `dy` and its
     /// output `dx`. Backends without a deconv path return
-    /// [`ConvError::Unsupported`]; the engine reroutes those to `direct`.
+    /// [`ConvError::Unsupported`]; the engine reroutes those to
+    /// `im2col-indirect`.
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError>;
 }
 
@@ -349,9 +351,11 @@ impl Engine {
         plan.run(x, epilogue, &self.arena)
     }
 
-    /// Backward-data through a handle's policy. Shapes the fused deconv can
-    /// run (unit stride) use it; everything else — and every backend with
-    /// no deconv path — falls back to `direct` (§5.7).
+    /// Backward-data through a handle's policy. Shapes whose forward
+    /// resolves to Γ run the fused-rotation deconvolution; everything else —
+    /// strided shapes, the deep-K corner, backends with no deconv path —
+    /// runs `im2col-indirect`'s GEMM + col2im (§5.7). `direct` runs only
+    /// when forced by name.
     pub fn backward_data(
         &self,
         h: &Handle,
@@ -360,14 +364,28 @@ impl Engine {
         s: &ConvShape,
     ) -> Result<Tensor4<f32>, ConvError> {
         let forward = self.resolve(&h.policy, s)?;
-        let algo = if forward.name() == "im2col-winograd" && forward.supports(s) {
+        let forced_direct = h.policy == SelectionPolicy::Force("direct".into());
+        let algo = if (forward.name() == "im2col-winograd" && forward.supports(s)) || forced_direct {
             forward
         } else {
-            self.algorithm("direct")?
+            self.algorithm("im2col-indirect")?
         };
         let plan = self.plan(&algo, w, s, h.filter_id(), true)?;
         let _run = obs::span(obs::Stage::EngineRun);
         plan.run(dy, &Epilogue::None, &self.arena)
+    }
+
+    /// The filter gradient `dW` (`OC×FH×FW×IC`) of the convolution `s`, at
+    /// any stride: one transposed-gather GEMM `dWᵀ = Âᵀ·dY` through the
+    /// shape's indirection table (built per call — it is small next to the
+    /// GEMM, and training invalidates weights every step anyway), with
+    /// packing and result buffers drawn from the engine arena.
+    pub fn filter_grad(&self, x: &Tensor4<f32>, dy: &Tensor4<f32>, s: &ConvShape) -> Result<Tensor4<f32>, ConvError> {
+        expect_dims("input", x.dims(), s.x_dims())?;
+        expect_dims("dy", dy.dims(), s.y_dims())?;
+        let table = iwino_indirect::IndirectTable::build(s);
+        let _run = obs::span(obs::Stage::EngineRun);
+        Ok(iwino_indirect::filter_grad_with(x, dy, &table, &self.arena))
     }
 
     /// Measure every eligible backend once on `(x, w, s)`, pin the winner,
@@ -499,6 +517,62 @@ mod tests {
     }
 
     #[test]
+    fn direct_backward_data_only_when_forced() {
+        let s = ConvShape {
+            sh: 2,
+            sw: 2,
+            ..ConvShape::square(1, 9, 3, 4, 3)
+        };
+        let (_, w) = tensors(&s);
+        let dy = Tensor4::<f32>::random(s.y_dims(), 4, -1.0, 1.0);
+        for (policy, want) in [
+            (SelectionPolicy::Force("direct".into()), "direct"),
+            (SelectionPolicy::Force("fft".into()), "im2col-indirect"),
+            (SelectionPolicy::Autotune, "im2col-indirect"),
+        ] {
+            let eng = Engine::new();
+            let h = Handle::new(policy);
+            eng.backward_data(&h, &dy, &w, &s).unwrap();
+            let algo = eng.algorithm(want).unwrap();
+            eng.plan(&algo, &w, &s, h.filter_id(), true).unwrap();
+            assert_eq!(
+                eng.stats().plan_hits,
+                1,
+                "{:?} must build a {want} deconv plan",
+                h.policy
+            );
+        }
+    }
+
+    #[test]
+    fn filter_grad_checks_dims_and_is_adjoint() {
+        let eng = Engine::new();
+        let s = ConvShape {
+            sh: 2,
+            sw: 2,
+            ..ConvShape::square(2, 9, 3, 4, 3)
+        };
+        let (x, w) = tensors(&s);
+        let dy = Tensor4::<f32>::random(s.y_dims(), 5, -1.0, 1.0);
+        let e = eng.filter_grad(&dy, &dy, &s).unwrap_err();
+        assert!(matches!(e, ConvError::ShapeMismatch { what: "input", .. }), "{e}");
+        let e = eng.filter_grad(&x, &x, &s).unwrap_err();
+        assert!(matches!(e, ConvError::ShapeMismatch { what: "dy", .. }), "{e}");
+        let dw = eng.filter_grad(&x, &dy, &s).unwrap();
+        assert_eq!(dw.dims(), s.w_dims());
+        let y = iwino_baselines::direct_conv(&x, &w, &s);
+        let dot = |a: &Tensor4<f32>, b: &Tensor4<f32>| -> f64 {
+            a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .map(|(&p, &q)| p as f64 * q as f64)
+                .sum()
+        };
+        let (lhs, rhs) = (dot(&y, &dy), dot(&w, &dw));
+        assert!((lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
+    }
+
+    #[test]
     fn forced_backend_on_unsupported_shape_names_capable_backends() {
         // The engine's capability gate answers before any backend-internal
         // assertion can: forcing a unit-stride-only backend onto a strided
@@ -527,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn strided_backward_data_falls_back_to_direct() {
+    fn strided_backward_data_runs_the_indirect_plan() {
         let eng = Engine::new();
         let h = Handle::default();
         let s = ConvShape {
@@ -539,6 +613,16 @@ mod tests {
         let dy = Tensor4::<f32>::random(s.y_dims(), 3, -1.0, 1.0);
         let dx = eng.backward_data(&h, &dy, &w, &s).unwrap();
         assert_eq!(dx.dims(), s.x_dims());
+        // The plan backward_data built and cached is indirect's deconv plan.
+        let indirect = eng.algorithm("im2col-indirect").unwrap();
+        let plan = eng.plan(&indirect, &w, &s, h.filter_id(), true).unwrap();
+        assert_eq!(plan.algorithm(), "im2col-indirect");
+        let st = eng.stats();
+        assert_eq!(
+            (st.plan_misses, st.plan_hits),
+            (1, 1),
+            "backward_data must have built that plan"
+        );
         // Adjoint identity ⟨conv(x), dy⟩ = ⟨x, dx⟩ pins correctness.
         let y = iwino_baselines::direct_conv(&x, &w, &s);
         let lhs: f64 = y

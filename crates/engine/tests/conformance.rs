@@ -117,13 +117,30 @@ fn fused_epilogue_matches_post_applied_reference() {
 
 #[test]
 fn deconv_through_engine_matches_direct_backward() {
+    // Unit stride runs the fused deconvolution; 3×3 stride 2 and the 1×1
+    // stride-2 shortcut run the indirect GEMM + col2im.
     let eng = Engine::new();
     let h = iwino_engine::Handle::default();
-    let s = ConvShape::square(1, 9, 4, 3, 3);
-    let w = Tensor4::<f32>::random(s.w_dims(), 31, -1.0, 1.0);
-    let dy = Tensor4::<f32>::random(s.y_dims(), 32, -1.0, 1.0);
-    let dx = eng.backward_data(&h, &dy, &w, &s).unwrap();
-    let want = iwino_baselines::direct_backward_data(&dy, &w, &s);
-    let err = iwino_tensor::max_mixed_error(&dx, &want);
-    assert!(err < 1e-3, "{err}");
+    for s in [
+        ConvShape::square(1, 9, 4, 3, 3),
+        ConvShape {
+            sh: 2,
+            sw: 2,
+            ..ConvShape::square(2, 9, 4, 6, 3)
+        },
+        ConvShape {
+            sh: 2,
+            sw: 2,
+            ph: 0,
+            pw: 0,
+            ..ConvShape::square(2, 8, 5, 8, 1)
+        },
+    ] {
+        let w = Tensor4::<f32>::random(s.w_dims(), 31, -1.0, 1.0);
+        let dy = Tensor4::<f32>::random(s.y_dims(), 32, -1.0, 1.0);
+        let dx = eng.backward_data(&h, &dy, &w, &s).unwrap();
+        let want = iwino_baselines::direct_backward_data(&dy, &w, &s);
+        let err = iwino_tensor::max_mixed_error(&dx, &want);
+        assert!(err < 1e-3, "{s:?}: {err}");
+    }
 }

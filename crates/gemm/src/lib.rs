@@ -34,7 +34,9 @@
 //! reused across calls. The indirect-convolution backend (`iwino-indirect`)
 //! rides that seam through [`sgemm_gather_prepacked`]: a [`GatherA`]
 //! indirection buffer replaces the materialized patch matrix, and rows are
-//! gathered straight into the A micro-panels.
+//! gathered straight into the A micro-panels. The training filter gradient
+//! rides it transposed through [`sgemm_gather_tn`]: the same table feeds
+//! `Âᵀ`'s panels, reducing over output pixels.
 
 use iwino_obs as obs;
 use iwino_parallel as par;
@@ -180,14 +182,16 @@ impl GatherA<'_> {
     }
 }
 
-/// The A operand of the blocked driver: either a materialized row-major
-/// matrix or an indirected [`GatherA`]. Both pack into identical MR-row
-/// k-major micro-panels, so the microkernel loops downstream are shared —
-/// the gathered path is bitwise equal to running the dense path on the
-/// materialized patch matrix by construction.
+/// The A operand of the blocked driver: a materialized row-major matrix,
+/// an indirected [`GatherA`], or the transpose `Âᵀ` of one (`rows` logical
+/// rows of `Â` become the K dimension). All three pack into identical
+/// MR-row k-major micro-panels, so the microkernel loops downstream are
+/// shared — the gathered paths are bitwise equal to running the dense path
+/// on the materialized matrix by construction.
 enum ASource<'a> {
     Dense { a: &'a [f32], k: usize },
     Gather(&'a GatherA<'a>),
+    GatherT { g: &'a GatherA<'a>, rows: usize },
 }
 
 impl ASource<'_> {
@@ -195,6 +199,7 @@ impl ASource<'_> {
         match self {
             ASource::Dense { k, .. } => *k,
             ASource::Gather(g) => g.k(),
+            ASource::GatherT { rows, .. } => *rows,
         }
     }
 
@@ -205,6 +210,7 @@ impl ASource<'_> {
         match self {
             ASource::Dense { a, k } => pack_a_block(a, *k, i0, mb, pc, kc, out),
             ASource::Gather(g) => pack_gather_block(g, i0, mb, pc, kc, out),
+            ASource::GatherT { g, .. } => pack_gather_t_block(g, i0, mb, pc, kc, out),
         }
     }
 }
@@ -265,6 +271,81 @@ fn pack_gather_block(g: &GatherA<'_>, i0: usize, mb: usize, pc: usize, kc: usize
                 kk += take;
                 t += 1;
                 c0 = 0;
+            }
+        }
+    }
+}
+
+/// One contiguous run of a transposed-gather micro-panel: rows
+/// `[r, r+len)` of panel `p` hold channels `[c0, c0+len)` of tap `tap`;
+/// `dst = p·kc·MR + r` is the run's offset in the packed block at `kk = 0`.
+#[derive(Clone, Copy, Default)]
+struct TapRun {
+    dst: usize,
+    tap: usize,
+    c0: usize,
+    len: usize,
+}
+
+/// [`pack_a_block`] for `Âᵀ`: rows `[i0, i0+mb)` of `Âᵀ` are `(tap, channel)`
+/// columns of `Â`, and the K chunk `[pc, pc+kc)` is a range of `Â`'s logical
+/// rows (output pixels). The block's columns are first cut into [`TapRun`]s
+/// — at most `MR` contiguous channels of one tap, split where a panel
+/// straddles a tap edge (`seg % MR ≠ 0`). Then, one tap at a time, each
+/// pixel costs one offset lookup and, per run of that tap, one short
+/// contiguous copy straight from `g.base` (a fixed-size array for full
+/// `MR`-row runs) or a zero fill for [`GATHER_PAD`].
+fn pack_gather_t_block(g: &GatherA<'_>, i0: usize, mb: usize, pc: usize, kc: usize, out: &mut [f32]) {
+    let mut runs = [TapRun::default(); MC];
+    let mut nruns = 0;
+    for p in 0..mb.div_ceil(MR) {
+        let (mut r, h) = (0, MR.min(mb - p * MR));
+        while r < h {
+            let col = i0 + p * MR + r;
+            let (tap, c0) = (col / g.seg, col % g.seg);
+            let len = (g.seg - c0).min(h - r);
+            runs[nruns] = TapRun {
+                dst: p * kc * MR + r,
+                tap,
+                c0,
+                len,
+            };
+            nruns += 1;
+            r += len;
+        }
+        if h < MR {
+            out[p * kc * MR..(p + 1) * kc * MR].fill(0.0);
+        }
+    }
+    // Per pixel of the chunk: its block's start in `base` and its row of
+    // the offset table.
+    let mut px = [(0usize, 0usize); KC];
+    let (mut blk, mut row) = (pc / g.rows_per_block, pc % g.rows_per_block);
+    for p in &mut px[..kc] {
+        *p = (blk * g.block_stride, row * g.taps);
+        row += 1;
+        if row == g.rows_per_block {
+            row = 0;
+            blk += 1;
+        }
+    }
+    for group in runs[..nruns].chunk_by(|a, b| a.tap == b.tap) {
+        let tap = group[0].tap;
+        for (kk, &(b0, o0)) in px[..kc].iter().enumerate() {
+            let off = g.offsets[o0 + tap];
+            for run in group {
+                let d = run.dst + kk * MR;
+                if off == GATHER_PAD {
+                    out[d..d + run.len].fill(0.0);
+                    continue;
+                }
+                let at = b0 + off + run.c0;
+                if run.len == MR {
+                    let dst: &mut [f32; MR] = (&mut out[d..d + MR]).try_into().unwrap();
+                    *dst = g.base[at..at + MR].try_into().unwrap();
+                } else {
+                    out[d..d + run.len].copy_from_slice(&g.base[at..at + run.len]);
+                }
             }
         }
     }
@@ -469,6 +550,46 @@ pub fn sgemm_gather_prepacked(
         assert_eq!(m % g.rows_per_block, 0, "m must be whole gather blocks");
     }
     gemm_blocked(m, pb.n, &ASource::Gather(g), &pb.data, c, accumulate, scratch);
+}
+
+/// The transposed product `C[K×n] = Âᵀ · B`, where `Â` is the `rows×K`
+/// implicit matrix of `g` (`K = g.k()`) and `B` is dense row-major
+/// `rows×n`. For convolution this is the filter gradient `dWᵀ = Âᵀ·dY`: the
+/// reduction runs over output pixels in ascending order, one individually
+/// rounded multiply and add per term, and `Âᵀ`'s micro-panels are filled
+/// straight from `g.base` — the patch matrix is never materialized. `B` is
+/// packed per call into a buffer drawn from `scratch`.
+pub fn sgemm_gather_tn(
+    rows: usize,
+    g: &GatherA<'_>,
+    n: usize,
+    b: &[f32],
+    c: &mut [f32],
+    scratch: &dyn ScratchProvider,
+) {
+    let m = g.k();
+    assert_eq!(b.len(), rows * n, "B shape");
+    assert_eq!(c.len(), m * n, "C shape");
+    if rows > 0 {
+        assert!(g.rows_per_block > 0, "gather rows_per_block");
+        assert_eq!(g.offsets.len(), g.rows_per_block * g.taps, "gather offset-table shape");
+        assert_eq!(rows % g.rows_per_block, 0, "rows must be whole gather blocks");
+    }
+    if m == 0 || n == 0 {
+        return;
+    }
+    if rows == 0 {
+        c.fill(0.0);
+        return;
+    }
+    let mut bp = scratch.checkout(packed_b_len(rows, n));
+    {
+        let _p = obs::span(obs::Stage::GemmPack);
+        pack_b(rows, n, b, &mut bp);
+        obs::add(obs::Counter::GemmPackedBBytes, (packed_b_len(rows, n) * 4) as u64);
+    }
+    gemm_blocked(m, n, &ASource::GatherT { g, rows }, &bp, c, false, scratch);
+    scratch.give_back(bp);
 }
 
 /// `C[m×n] += A[m×k] · B[k×n]` if `accumulate`, else `C = A·B`. Packing
@@ -760,6 +881,104 @@ mod tests {
         }
     }
 
+    /// A convolution-geometry gather over an NHWC batch `base`
+    /// (`batch×ih×iw×ic`, square `r×r` filter, symmetric stride and pad):
+    /// the offset table `iwino-indirect` builds, restated test-locally.
+    /// Returns `(offsets, rows_per_block, block_stride)`.
+    fn conv_table(ih: usize, iw: usize, ic: usize, r: usize, stride: usize, pad: usize) -> (Vec<usize>, usize, usize) {
+        let oh = (ih + 2 * pad - r) / stride + 1;
+        let ow = (iw + 2 * pad - r) / stride + 1;
+        let mut offsets = Vec::new();
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for fy in 0..r {
+                    for fx in 0..r {
+                        let iy = (oy * stride + fy) as isize - pad as isize;
+                        let ix = (ox * stride + fx) as isize - pad as isize;
+                        if iy < 0 || ix < 0 || iy >= ih as isize || ix >= iw as isize {
+                            offsets.push(GATHER_PAD);
+                        } else {
+                            offsets.push((iy as usize * iw + ix as usize) * ic);
+                        }
+                    }
+                }
+            }
+        }
+        (offsets, oh * ow, ih * iw * ic)
+    }
+
+    /// `sgemm_gather_tn` against the naive triple loop on the materialized
+    /// `Âᵀ`, bit for bit.
+    fn check_gather_tn(g: &GatherA<'_>, rows: usize, n: usize, b: &[f32]) -> Result<(), String> {
+        let k = g.k();
+        let a = materialize(g, rows);
+        let mut at = vec![0.0f32; k * rows];
+        for i in 0..rows {
+            for j in 0..k {
+                at[j * rows + i] = a[i * k + j];
+            }
+        }
+        let mut want = vec![0.0f32; k * n];
+        naive(k, n, rows, &at, b, &mut want);
+        let mut got = vec![7.0f32; k * n];
+        sgemm_gather_tn(rows, g, n, b, &mut got, &AllocScratch);
+        for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+            if x.to_bits() != y.to_bits() {
+                return Err(format!("k={k} n={n} rows={rows} idx {i}: {x:?} vs naive {y:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn gather_tn_degenerate_dims() {
+        let base = [1.0f32; 8];
+        let offsets = [0usize, 4];
+        let g = GatherA {
+            base: &base,
+            offsets: &offsets,
+            taps: 2,
+            seg: 4,
+            rows_per_block: 1,
+            block_stride: 0,
+        };
+        let mut c = vec![3.0f32; 8 * 2];
+        sgemm_gather_tn(0, &g, 2, &[], &mut c, &AllocScratch);
+        assert!(c.iter().all(|&v| v == 0.0), "an empty reduction is zero");
+        sgemm_gather_tn(1, &g, 0, &[], &mut [], &AllocScratch);
+    }
+
+    #[test]
+    fn gather_tn_scalar_lane_bitwise_matches_native() {
+        let _g = force_guard();
+        let (ih, iw, ic, r) = (9, 7, 7, 3);
+        let (offsets, rpb, stride) = conv_table(ih, iw, ic, r, 1, 1);
+        let mut base = vec![0.0f32; 2 * stride];
+        fill(&mut base, 71);
+        let g = GatherA {
+            base: &base,
+            offsets: &offsets,
+            taps: r * r,
+            seg: ic,
+            rows_per_block: rpb,
+            block_stride: stride,
+        };
+        let (rows, n) = (2 * rpb, NR + 3);
+        let mut b = vec![0.0f32; rows * n];
+        fill(&mut b, 72);
+        let mut native = vec![0.0f32; g.k() * n];
+        sgemm_gather_tn(rows, &g, n, &b, &mut native, &AllocScratch);
+        let mut scalar_out = vec![0.0f32; g.k() * n];
+        {
+            let _r = RestoreDispatch;
+            iwino_simd::set_force_scalar(true);
+            sgemm_gather_tn(rows, &g, n, &b, &mut scalar_out, &AllocScratch);
+        }
+        for (i, (x, y)) in native.iter().zip(&scalar_out).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "idx {i}: {x:?} vs scalar {y:?}");
+        }
+    }
+
     #[test]
     fn nonfinite_inputs_propagate_like_naive() {
         // 0·∞ and 0·NaN must reach C (the seed kernel's zero-skip dropped
@@ -867,6 +1086,44 @@ mod tests {
             for (i, (x, y)) in c.iter().zip(&want).enumerate() {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "({}x{}x{}) idx {}", m, n, k, i);
             }
+        }
+
+        /// The transposed-gather operand over convolution tables: IC values
+        /// that MR does not divide (panels straddle tap edges), padding taps,
+        /// stride 2, 1×1 filters, `K` past MC, and pixel counts ragged
+        /// against KC and spanning several images — bitwise equal to the
+        /// naive loop on the materialized `Âᵀ`.
+        #[test]
+        fn gather_tn_bitwise_matches_naive_on_materialized_transpose(
+            batch in 1usize..3,
+            ih in 3usize..17,
+            iw in 3usize..17,
+            ici in 0usize..5,
+            ri in 0usize..2,
+            stride in 1usize..3,
+            pad in 0usize..2,
+            ni in 0usize..4,
+            seed in 0u32..1000,
+        ) {
+            let ic = [1usize, 4, 7, 13, 16][ici];
+            let r = [1usize, 3][ri];
+            let n = [1usize, 5, NR, NR + 17][ni];
+            prop_assume!(ih + 2 * pad >= r && iw + 2 * pad >= r);
+            let (offsets, rpb, block_stride) = conv_table(ih, iw, ic, r, stride, pad);
+            let mut base = vec![0.0f32; batch * block_stride];
+            fill(&mut base, seed);
+            let g = GatherA {
+                base: &base,
+                offsets: &offsets,
+                taps: r * r,
+                seg: ic,
+                rows_per_block: rpb,
+                block_stride,
+            };
+            let rows = batch * rpb;
+            let mut b = vec![0.0f32; rows * n];
+            fill(&mut b, seed.wrapping_add(1));
+            prop_assert_eq!(check_gather_tn(&g, rows, n, &b), Ok(()));
         }
     }
 }

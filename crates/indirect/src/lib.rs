@@ -19,10 +19,22 @@
 //! the NHWC output — no copy-out. Because NHWC puts channels innermost,
 //! every indirected row segment is a contiguous channel vector, and
 //! arbitrary stride falls out of the table build for free.
+//!
+//! The same table drives both training backward passes, so they too run on
+//! the packed GEMM at any stride:
+//!
+//! * **filter gradient** ([`filter_grad`]) — `dWᵀ = Âᵀ·dY`, one
+//!   [`iwino_gemm::sgemm_gather_tn`] whose transposed-gather A panels are
+//!   filled from `x` through the table;
+//! * **backward-data** ([`indirect_backward_data_packed`]) — per image,
+//!   `dCols = dY·W` against the native `OC×FH·FW·IC` filter, then a col2im
+//!   scatter-add of each pixel's tap segments back through the table.
 
 #![forbid(unsafe_code)]
 
-use iwino_gemm::{sgemm_gather_prepacked, GatherA, PackedB, ScratchProvider, GATHER_PAD};
+use iwino_gemm::{
+    sgemm_gather_prepacked, sgemm_gather_tn, sgemm_prepacked, GatherA, PackedB, ScratchProvider, GATHER_PAD,
+};
 use iwino_obs as obs;
 use iwino_tensor::{transpose_filter_to_hwio, ConvShape, Tensor4};
 
@@ -129,6 +141,89 @@ pub fn indirect_conv(x: &Tensor4<f32>, w: &Tensor4<f32>, shape: &ConvShape) -> T
     let wmat = transpose_filter_to_hwio(w);
     let pb = PackedB::pack(shape.fh * shape.fw * shape.ic, shape.oc, wmat.as_slice());
     indirect_conv_nhwc_packed(x, &pb, &table, &iwino_gemm::AllocScratch)
+}
+
+/// Backward-data (`dx` from `dy`) through the table, against the native
+/// `OC×FH×FW×IC` filter packed as the row-major `OC × FH·FW·IC` matrix it
+/// already is. Per image: one GEMM `dCols[OH·OW × K] = dY_img · W` into an
+/// arena buffer, then a col2im scatter-add — every non-padding tap segment
+/// of pixel `p` adds into the input channel vector the table says it read.
+/// Working image by image bounds the transient at `OH·OW × K` floats.
+pub fn indirect_backward_data_packed(
+    dy: &Tensor4<f32>,
+    pb: &PackedB,
+    table: &IndirectTable,
+    scratch: &dyn ScratchProvider,
+) -> Tensor4<f32> {
+    let s = *table.shape();
+    let (rows, taps, k) = (s.oh() * s.ow(), s.fh * s.fw, s.fh * s.fw * s.ic);
+    assert_eq!(dy.dims(), s.y_dims());
+    assert_eq!(pb.k(), s.oc, "packed filter K mismatch");
+    assert_eq!(pb.n(), k, "packed filter N mismatch");
+    let _b = obs::span(obs::Stage::Baseline);
+    let mut dx = Tensor4::<f32>::zeros(s.x_dims());
+    if rows * s.oc == 0 || k == 0 {
+        return dx;
+    }
+    let img = s.ih * s.iw * s.ic;
+    let mut cols = scratch.checkout(rows * k);
+    for (dy_img, dx_img) in dy
+        .as_slice()
+        .chunks_exact(rows * s.oc)
+        .zip(dx.as_mut_slice().chunks_exact_mut(img))
+    {
+        sgemm_prepacked(rows, dy_img, pb, &mut cols, false, scratch);
+        for (offs, col) in table.offsets.chunks_exact(taps).zip(cols.chunks_exact(k)) {
+            for (&off, seg) in offs.iter().zip(col.chunks_exact(s.ic)) {
+                if off != GATHER_PAD {
+                    for (d, &v) in dx_img[off..off + s.ic].iter_mut().zip(seg) {
+                        *d += v;
+                    }
+                }
+            }
+        }
+    }
+    scratch.give_back(cols);
+    dx
+}
+
+/// The filter gradient `dW` (native `OC×FH×FW×IC`) of the convolution the
+/// table describes: one transposed-gather GEMM `C[K×OC] = Âᵀ·dY` over all
+/// `N·OH·OW` output pixels, with `Â` the implicit patch matrix of `x`, then
+/// a `K×OC → OC×K` transpose into the native layout. Each element is
+/// reduced over pixels in ascending order with IEEE multiply-then-add, so
+/// an `inf`/`NaN` activation under a zero gradient reaches `dW` as `NaN`,
+/// exactly as the forward GEMM propagates it.
+pub fn filter_grad_with(
+    x: &Tensor4<f32>,
+    dy: &Tensor4<f32>,
+    table: &IndirectTable,
+    scratch: &dyn ScratchProvider,
+) -> Tensor4<f32> {
+    let s = *table.shape();
+    assert_eq!(x.dims(), s.x_dims(), "x dims mismatch");
+    assert_eq!(dy.dims(), s.y_dims(), "dy dims mismatch");
+    let _b = obs::span(obs::Stage::Baseline);
+    let k = s.fh * s.fw * s.ic;
+    let mut ct = scratch.checkout(k * s.oc);
+    let g = table.gather(x.as_slice());
+    sgemm_gather_tn(s.n * s.oh() * s.ow(), &g, s.oc, dy.as_slice(), &mut ct, scratch);
+    let mut dw = Tensor4::<f32>::zeros(s.w_dims());
+    let dws = dw.as_mut_slice();
+    for o in 0..s.oc {
+        for j in 0..k {
+            dws[o * k + j] = ct[j * s.oc + o];
+        }
+    }
+    scratch.give_back(ct);
+    dw
+}
+
+/// One-shot filter gradient: builds the table per call. Training goes
+/// through `iwino_engine::Engine::filter_grad`, which draws its buffers
+/// from the engine arena.
+pub fn filter_grad(x: &Tensor4<f32>, dy: &Tensor4<f32>, shape: &ConvShape) -> Tensor4<f32> {
+    filter_grad_with(x, dy, &IndirectTable::build(shape), &iwino_gemm::AllocScratch)
 }
 
 #[cfg(test)]

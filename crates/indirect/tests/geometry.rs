@@ -8,35 +8,25 @@
 //! check.sh runs this net on both dispatch lanes (native and
 //! `IWINO_FORCE_SCALAR=1`).
 
+mod common;
+
 use iwino_baselines::sgemm_naive;
 use iwino_indirect::indirect_conv;
 use iwino_tensor::{transpose_filter_to_hwio, ConvShape, Tensor4};
 use proptest::prelude::*;
 
-/// `im2col(x) · W`: the patch matrix has one row per output pixel, `K`
-/// ordered `(fh, fw, ic)` to match the HWIO flattening, zeros under
-/// padding.
+/// `im2col(x) · W` with the HWIO-flattened filter.
 fn im2col_reference(x: &Tensor4<f32>, w: &Tensor4<f32>, s: &ConvShape) -> Vec<f32> {
-    let (oh, ow, k) = (s.oh(), s.ow(), s.fh * s.fw * s.ic);
-    let rows = s.n * oh * ow;
-    let mut patch = vec![0.0f32; rows * k];
-    for (row, p) in patch.chunks_exact_mut(k).enumerate() {
-        let (b, oy, ox) = (row / (oh * ow), row / ow % oh, row % ow);
-        for fy in 0..s.fh {
-            for fx in 0..s.fw {
-                let iy = (oy * s.sh + fy) as isize - s.ph as isize;
-                let ix = (ox * s.sw + fx) as isize - s.pw as isize;
-                if iy < 0 || ix < 0 || iy >= s.ih as isize || ix >= s.iw as isize {
-                    continue;
-                }
-                for i in 0..s.ic {
-                    p[(fy * s.fw + fx) * s.ic + i] = x.at(b, iy as usize, ix as usize, i);
-                }
-            }
-        }
-    }
+    let (rows, k) = (s.n * s.oh() * s.ow(), s.fh * s.fw * s.ic);
     let mut y = vec![0.0f32; rows * s.oc];
-    sgemm_naive(rows, s.oc, k, &patch, transpose_filter_to_hwio(w).as_slice(), &mut y);
+    sgemm_naive(
+        rows,
+        s.oc,
+        k,
+        &common::im2col_patch(x, s),
+        transpose_filter_to_hwio(w).as_slice(),
+        &mut y,
+    );
     y
 }
 

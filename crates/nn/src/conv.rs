@@ -19,8 +19,11 @@
 //! updates invalidate the cache through [`Layer::params`], the single
 //! mutation path the optimisers use.
 //!
-//! The backward-filter pass is `iwino_core::filter_grad` for both backends
-//! (the paper does not Winograd this pass either).
+//! The backward pass is engine-routed for both backends. The filter
+//! gradient is [`Engine::filter_grad`], a transposed-gather GEMM through the
+//! shape's indirection table (the paper does not Winograd this pass
+//! either). Backward-data runs the fused deconvolution where the forward
+//! ran Γ, and the indirect GEMM + col2im everywhere else.
 
 use crate::init::kaiming_uniform;
 use crate::layer::{Layer, Param};
@@ -207,7 +210,9 @@ impl Layer for Conv2d {
         let s = self.cached_shape.take().unwrap();
         let name = self.name();
         // dW (shared by both backends; §6.3.2's "computing filter gradients").
-        let dw = iwino_core::filter_grad(&x, dy, &s);
+        let dw = Engine::global()
+            .filter_grad(&x, dy, &s)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         self.weight
             .grad
             .iter_mut()
@@ -222,7 +227,8 @@ impl Layer for Conv2d {
             }
         }
         // dX: the engine routes unit-stride winograd-selected shapes through
-        // the fused deconvolution and everything else through direct.
+        // the fused deconvolution and everything else through the indirect
+        // GEMM + col2im.
         self.ensure_weight_tensor();
         let w = self.weight_t.as_ref().unwrap();
         Engine::global()
@@ -255,10 +261,6 @@ impl Layer for Conv2d {
         self.cached_x.as_ref().map_or(0, |t| t.len() * 4)
     }
 }
-
-/// Direct backward-data for arbitrary stride; lives in `iwino-baselines`
-/// now (re-exported here under its historical name for compatibility).
-pub use iwino_baselines::direct_backward_data as backward_data_direct;
 
 #[cfg(test)]
 mod tests {
@@ -298,7 +300,7 @@ mod tests {
             let w = Tensor4::<f32>::random(s.w_dims(), 21, -1.0, 1.0);
             let dy = Tensor4::<f32>::random(s.y_dims(), 22, -1.0, 1.0);
             let y = iwino_baselines::direct_conv(&x, &w, &s);
-            let dx = backward_data_direct(&dy, &w, &s);
+            let dx = iwino_baselines::direct_backward_data(&dy, &w, &s);
             let lhs: f64 = y
                 .as_slice()
                 .iter()
@@ -369,6 +371,43 @@ mod tests {
         }
         let e = max_mixed_error(&gw.1, &gx.1);
         assert!(e < 1e-3, "{e}");
+    }
+
+    #[test]
+    fn gemm_backend_gradients_match_direct_references() {
+        // The "PyTorch" arm's whole backward runs the indirect GEMM: dX
+        // (GEMM + col2im) against the schoolbook backward-data, dW
+        // (transposed-gather GEMM) against an f64 reduction over pixels.
+        for stride in [1usize, 2] {
+            let mut layer = Conv2d::new(3, 5, 3, stride, 1, false, Backend::Gemm, 44);
+            let x = Tensor4::<f32>::random([2, 9, 9, 3], 45, -1.0, 1.0);
+            let s = layer.shape_for(&x);
+            let _ = layer.forward(&x, true);
+            let dy = Tensor4::<f32>::random(s.y_dims(), 46, -1.0, 1.0);
+            let dx = layer.backward(&dy);
+            let w = layer.export_weights();
+            let e = max_mixed_error(&dx, &iwino_baselines::direct_backward_data(&dy, &w, &s));
+            assert!(e < 1e-4, "stride {stride}: dx error {e}");
+            let mut max = 0.0f64;
+            for (j, &got) in layer.weight.grad.iter().enumerate() {
+                let (o, tap, i) = (j / (9 * 3), j / 3 % 9, j % 3);
+                let (fy, fx) = (tap / 3, tap % 3);
+                let mut want = 0.0f64;
+                for b in 0..s.n {
+                    for oy in 0..s.oh() {
+                        for ox in 0..s.ow() {
+                            let iy = (oy * stride + fy) as isize - 1;
+                            let ix = (ox * stride + fx) as isize - 1;
+                            if iy >= 0 && ix >= 0 && iy < 9 && ix < 9 {
+                                want += dy.at(b, oy, ox, o) as f64 * x.at(b, iy as usize, ix as usize, i) as f64;
+                            }
+                        }
+                    }
+                }
+                max = max.max((got as f64 - want).abs());
+            }
+            assert!(max < 1e-4, "stride {stride}: dW error {max}");
+        }
     }
 
     #[test]

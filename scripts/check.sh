@@ -79,8 +79,10 @@ cargo run --offline --release -p iwino-bench --bin repro -- \
 
 echo "== engine smoke (every registry backend vs the f64 reference) =="
 # Drives all of BACKEND_NAMES by name through iwino-engine, checks each
-# against direct_conv_f64_ref, and prints plan-cache/arena stats. Exits
-# nonzero if any backend fails to plan, run, or agree with the reference.
+# against direct_conv_f64_ref, then drives the training backward passes
+# (Engine::backward_data at stride 1 and 2, Engine::filter_grad) against the
+# adjoint identity in f64, and prints plan-cache/arena stats. Exits nonzero
+# if any backend or pass fails to plan, run, or agree.
 cargo run --offline --release -p iwino-bench --bin repro -- engine
 
 echo "== cargo clippy (deny warnings) =="

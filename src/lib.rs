@@ -5,8 +5,8 @@
 //! This umbrella crate re-exports the workspace:
 //!
 //! * [`core`] — the paper's algorithm: unit-stride `Γα(n, r)`
-//!   convolution, deconvolution, filter gradients, the boundary planner,
-//!   and the §4.2 ND extension;
+//!   convolution, deconvolution, the boundary planner, and the §4.2 ND
+//!   extension;
 //! * [`engine`] — the one dispatch surface: algorithm registry, per-shape
 //!   plan cache (transformed-filter banks built once), arena-backed
 //!   workspace pool, and the §5.7 selection policy (Γ or the indirect GEMM);
@@ -17,7 +17,8 @@
 //! * [`indirect`] — the indirect-convolution backend: per-shape offset
 //!   tables (stride/padding-aware, batch-relocatable) gathered straight
 //!   into the packed SGEMM's A-panels — the engine's one GEMM-class path,
-//!   for strided, deep-K and extra-wide-filter shapes;
+//!   for strided, deep-K and extra-wide-filter shapes, and the training
+//!   filter gradient and non-Γ backward-data;
 //! * [`transforms`] — exact Cook–Toom transform generation;
 //! * [`tensor`] — NHWC tensors and shapes;
 //! * [`gpu_sim`] — the RTX 3060 Ti / RTX 4090 cost model;
@@ -87,8 +88,7 @@ pub use iwino_transforms as transforms;
 
 /// The handful of names almost every user needs.
 pub mod prelude {
-    pub use iwino_core::{
-        auto_options, conv1d, conv2d, conv3d, deconv2d, filter_grad, ConvOptions, GammaSpec, Variant,
-    };
+    pub use iwino_core::{auto_options, conv1d, conv2d, conv3d, deconv2d, ConvOptions, GammaSpec, Variant};
+    pub use iwino_indirect::filter_grad;
     pub use iwino_tensor::{Conv3dShape, ConvShape, ErrorStats, Tensor4, Tensor5};
 }

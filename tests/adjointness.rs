@@ -1,9 +1,10 @@
 //! Adjointness identities across the forward / backward-data /
 //! backward-filter triple — the property that makes gradient descent with
-//! these kernels mathematically sound.
+//! these kernels mathematically sound. The backward passes are the ones
+//! training runs: `Engine::filter_grad` and `Engine::backward_data`.
 
-use im2col_winograd::core::{conv2d, deconv2d, filter_grad, ConvOptions};
-use im2col_winograd::nn::conv::backward_data_direct;
+use im2col_winograd::core::{conv2d, deconv2d, ConvOptions};
+use im2col_winograd::engine::{Engine, Handle};
 use im2col_winograd::tensor::{ConvShape, Tensor4};
 use proptest::prelude::*;
 
@@ -46,7 +47,7 @@ proptest! {
         let w = Tensor4::<f32>::random(s.w_dims(), seed + 1, -1.0, 1.0);
         let dy = Tensor4::<f32>::random(s.y_dims(), seed + 2, -1.0, 1.0);
         let y = im2col_winograd::baselines::direct_conv(&x, &w, &s);
-        let dw = filter_grad(&x, &dy, &s);
+        let dw = Engine::global().filter_grad(&x, &dy, &s).unwrap();
         let lhs = dot(&y, &dy);
         let rhs = dot(&w, &dw);
         prop_assert!((lhs - rhs).abs() < 2e-3 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
@@ -63,7 +64,7 @@ proptest! {
         let w = Tensor4::<f32>::random(s.w_dims(), seed + 1, -1.0, 1.0);
         let dy = Tensor4::<f32>::random(s.y_dims(), seed + 2, -1.0, 1.0);
         let y = im2col_winograd::baselines::direct_conv(&x, &w, &s);
-        let dx = backward_data_direct(&dy, &w, &s);
+        let dx = Engine::global().backward_data(&Handle::default(), &dy, &w, &s).unwrap();
         let lhs = dot(&y, &dy);
         let rhs = dot(&x, &dx);
         prop_assert!((lhs - rhs).abs() < 2e-3 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
