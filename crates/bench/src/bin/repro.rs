@@ -5,8 +5,7 @@
 //! `repro_results/`.
 
 use iwino_bench::{
-    bench_backend_rates, bench_stage_rates, gemm_bench_cases, run_accuracy, run_histogram, run_panel, speedups,
-    stage_bench_cases, validate_stage_model, PanelResult, FIG8, FIG9, TABLE3,
+    run_accuracy, run_histogram, run_panel, speedups, validate_stage_model, PanelResult, FIG8, FIG9, TABLE3,
 };
 use iwino_core::{GammaSpec, Variant};
 use iwino_gpu_sim::model::{Algorithm, Layout};
@@ -51,12 +50,6 @@ impl Mode {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    // `--force-scalar`: pin the Γ microkernel dispatch to the scalar
-    // fallback (equivalent to IWINO_FORCE_SCALAR=1) before any kernel runs,
-    // for A/B runs and for reproducing results from non-SIMD hosts.
-    if args.iter().any(|a| a == "--force-scalar") {
-        iwino_simd::set_force_scalar(true);
-    }
     let mode = Mode {
         quick: !args.iter().any(|a| a == "--full"),
         measure: !args.iter().any(|a| a == "--sim-only"),
@@ -87,10 +80,6 @@ fn main() {
         "table3" => table3(&mode),
         "fig10" => fig10(&mode),
         "validate-model" => validate_model(&mode),
-        "bench-stages" => bench_stages(&args, &mode),
-        "bench-compare" => bench_compare(&args),
-        "serve-bench" => serve_bench_cmd(&args),
-        "trace" => trace_cmd(&args),
         "engine" => engine(&mode),
         "train-cifar" => train_cifar(&mode),
         "train-imagenet" => train_imagenet(&mode),
@@ -116,16 +105,11 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: repro <fig8|fig9|table2|table3|fig10|validate-model|bench-stages|bench-compare|serve-bench|\
-                 trace|engine|train-cifar|train-imagenet|ablation-banks|ablation-boundary|ablation-variants|\
-                 ablation-transforms|all> \
-                 [--full] [--sim-only] [--engine] [--force-scalar] [--metrics <path.json>] [--out <path.json>] \
-                 [--baseline <path.json>] [--force]\n\
-                 \n  repro bench-stages [winograd|gemm]   per-stage rate sweep\
-                 \n  repro trace [<case-label>] [--out trace.json] [--reps N]   flight-recorder capture\
-                 \n  repro bench-compare <baseline.json> <after.json> [--max-regression <pct>] [--force]\
-                 \n  repro serve-bench [--out serve.json] [--requests N] [--rate R] [--max-batch B] \
-                 [--workers W] [--no-coalesce]   open-loop serving load generator"
+                "usage: repro <fig8|fig9|table2|table3|fig10|validate-model|engine|train-cifar|train-imagenet|\
+                 ablation-banks|ablation-boundary|ablation-precision|ablation-variants|ablation-transforms|all> \
+                 [--full] [--sim-only] [--metrics <path.json>]\n\
+                 \n  (IWINO_FORCE_SCALAR=1 pins the scalar microkernels; performance is tracked by the\
+                 \n   repository benchmark, see benchmark/README.md)"
             );
             if cmd != "help" {
                 std::process::exit(2);
@@ -342,401 +326,6 @@ fn validate_model(mode: &Mode) {
     println!("\n(the CPU profile includes gather/memory time inside input_transform, which the");
     println!(" pure op-count model does not charge — divergence there is expected, §5.4)");
     save_json("validate_model", &Json::Arr(doc));
-}
-
-// ---------------------------------------------------------------------------
-// Stage-rate benchmark: the BENCH_*.json performance trajectory
-// ---------------------------------------------------------------------------
-
-/// The pretty-printed dispatch section shared by bench-stages documents.
-fn dispatch_json() -> Json {
-    let d = iwino_simd::dispatch_info();
-    Json::obj(vec![
-        ("isa", Json::from(d.isa)),
-        ("lane_width", Json::from(d.lane_width)),
-        ("forced_scalar", Json::from(d.forced_scalar)),
-        (
-            "features",
-            Json::Arr(d.features.iter().map(|&f| Json::from(f)).collect()),
-        ),
-    ])
-}
-
-/// Positional (non-flag) arguments after the subcommand, skipping the
-/// values consumed by value-carrying flags.
-fn positional_args(args: &[String]) -> Vec<String> {
-    let mut pos = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--metrics" | "--out" | "--baseline" | "--reps" | "--max-regression" | "--requests" | "--rate"
-            | "--max-batch" | "--workers" | "--seed" => i += 2,
-            a if a.starts_with("--") => i += 1,
-            a => {
-                pos.push(a.to_string());
-                i += 1;
-            }
-        }
-    }
-    pos
-}
-
-/// The value of a `--flag <value>` pair, when present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .filter(|v| !v.starts_with("--"))
-        .map(String::as_str)
-}
-
-fn bench_stages(args: &[String], mode: &Mode) {
-    let via_engine = args.iter().any(|a| a == "--engine");
-    // Optional positional case-set filter: `winograd` runs only the Γ stage
-    // cases, `gemm` only the GEMM-class sweep through `im2col-indirect`; no
-    // filter runs both sets into one document.
-    let set = positional_args(args).into_iter().next();
-    let (run_winograd, run_gemm) = match set.as_deref() {
-        None => (true, true),
-        Some("winograd") => (true, false),
-        Some("gemm") => (false, true),
-        Some(other) => {
-            eprintln!("error: unknown bench-stages case set {other:?} (expected winograd|gemm)");
-            std::process::exit(2);
-        }
-    };
-    println!("\n==== bench-stages: per-stage effective GFLOP/s ====");
-    println!("(gflops = whole-run paper-convention FLOPs / time attributed to the stage;");
-    println!(" the ratio of a stage's gflops across two commits is that stage's speedup)");
-    if via_engine {
-        println!("(--engine: reps run plan-cached through iwino-engine; the filter transform");
-        println!(" is paid once at warm-up, so it drops out of the measured profile)");
-    }
-    let out = flag_value(args, "--out")
-        .unwrap_or("repro_results/stage_bench.json")
-        .to_string();
-    let d = iwino_simd::dispatch_info();
-    println!(
-        "(microkernels: {}{}, lane width {}; features: {})",
-        d.isa,
-        if d.forced_scalar { " [forced]" } else { "" },
-        d.lane_width,
-        d.features.join(", ")
-    );
-    let reps = if mode.quick { 5 } else { 20 };
-    let mut doc = Vec::new();
-    let mut report = |r: &iwino_bench::StageBenchResult| {
-        println!("\n-- {} ({}, ofms {}) --", r.label, r.kernel, r.shape);
-        println!(
-            "{:<18} {:>14} {:>8} {:>12} {:>10} {:>10} {:>10}",
-            "stage", "ns", "share", "gflops", "p50", "p90", "p99"
-        );
-        for s in &r.stages {
-            println!(
-                "{:<18} {:>14} {:>7.1}% {:>12.2} {:>10} {:>10} {:>10}",
-                s.stage,
-                s.ns,
-                100.0 * s.share,
-                s.gflops,
-                s.p50_ns,
-                s.p90_ns,
-                s.p99_ns
-            );
-        }
-        println!("end-to-end: {:.2} Gflop/s over {} reps", r.gflops, r.reps);
-        doc.push(r.to_json());
-    };
-    if run_winograd {
-        for case in stage_bench_cases() {
-            report(&bench_stage_rates(&case, reps, via_engine));
-        }
-    }
-    if run_gemm {
-        for case in gemm_bench_cases() {
-            report(&bench_backend_rates(&case, reps));
-        }
-    }
-    // Schema v3: v2 added the top-level `dispatch` record (cross-ISA diff
-    // detection); v3 adds per-stage latency percentiles (p50/p90/p99 ns
-    // from the obs log2 histograms). `repro bench-compare` reads v1-v3.
-    let json = Json::obj(vec![
-        ("schema_version", Json::from(3u64)),
-        ("dispatch", dispatch_json()),
-        ("cases", Json::Arr(doc)),
-    ]);
-    match fs::write(&out, json.pretty()) {
-        Ok(()) => println!("\n[saved {out}]"),
-        Err(e) => eprintln!("\n[failed to write {out}: {e}]"),
-    }
-    // `--baseline <file>`: guard a cross-commit comparison. Stage rates
-    // are only meaningful against a baseline measured on the same
-    // microkernel ISA; refuse anything else unless `--force`d.
-    if let Some(base_path) = flag_value(args, "--baseline") {
-        let ours = iwino_simd::dispatch_info().isa;
-        let parsed = match fs::read_to_string(base_path) {
-            Ok(text) => iwino_bench::parse_bench_doc(&text),
-            Err(e) => {
-                eprintln!("error: cannot read baseline {base_path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match parsed.map(|d| d.isa) {
-            Ok(Some(base_isa)) if base_isa == ours => {
-                println!("[baseline {base_path}: same ISA ({ours}) — stage rates comparable]");
-            }
-            Ok(Some(base_isa)) => {
-                eprintln!(
-                    "error: baseline {base_path} was measured on '{base_isa}' but this run dispatched \
-                     '{ours}'; cross-ISA stage rates are not comparable (pass --force to override)"
-                );
-                if !args.iter().any(|a| a == "--force") {
-                    std::process::exit(2);
-                }
-                println!("[--force: comparing across ISAs anyway]");
-            }
-            Ok(None) => {
-                eprintln!(
-                    "error: baseline {base_path} has no dispatch record (schema v1?); \
-                     cannot verify ISA parity (pass --force to override)"
-                );
-                if !args.iter().any(|a| a == "--force") {
-                    std::process::exit(2);
-                }
-                println!("[--force: comparing against unverifiable baseline anyway]");
-            }
-            Err(e) => {
-                eprintln!("error: baseline {base_path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Perf-regression gate: bench-compare over two bench-stages documents
-// ---------------------------------------------------------------------------
-
-/// `repro bench-compare <baseline.json> <after.json>`: exit 0 when every
-/// case's end-to-end rate holds within `--max-regression` percent of the
-/// baseline, 1 on a regression (or a dropped case), 2 on unusable input
-/// (unreadable/malformed files, or un`--force`d ISA mismatch).
-fn bench_compare(args: &[String]) {
-    let pos = positional_args(args);
-    let [base_path, after_path] = pos.as_slice() else {
-        eprintln!("usage: repro bench-compare <baseline.json> <after.json> [--max-regression <pct>] [--force]");
-        std::process::exit(2);
-    };
-    let max_pct: f64 = match flag_value(args, "--max-regression").map(str::parse) {
-        None => 5.0,
-        Some(Ok(p)) if p >= 0.0 => p,
-        Some(_) => {
-            eprintln!("error: --max-regression takes a non-negative percentage");
-            std::process::exit(2);
-        }
-    };
-    let load = |path: &str| match fs::read_to_string(path) {
-        Ok(text) => iwino_bench::parse_bench_doc(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        }),
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let base = load(base_path);
-    let after = load(after_path);
-    println!("\n==== bench-compare: {base_path} → {after_path} (budget {max_pct}%) ====");
-    if let Err(msg) = iwino_bench::isa_parity(&base, &after) {
-        if args.iter().any(|a| a == "--force") {
-            println!("[--force: {msg} — comparing anyway]");
-        } else {
-            eprintln!("error: {msg} (pass --force to override)");
-            std::process::exit(2);
-        }
-    }
-    let report = iwino_bench::compare(&base, &after, max_pct);
-    println!(
-        "{:<32} {:>12} {:>12} {:>8}  verdict",
-        "case", "base Gflop/s", "after", "ratio"
-    );
-    for c in &report.cases {
-        println!(
-            "{:<32} {:>12.2} {:>12.2} {:>7.3}x  {}",
-            c.label,
-            c.base_gflops,
-            c.after_gflops,
-            c.ratio,
-            if c.regressed { "REGRESSED" } else { "ok" }
-        );
-        // Stage-level shifts are diagnostic context, not gated: attribution
-        // is noisier than the end-to-end wall clock.
-        let shifts: Vec<String> = c.stage_ratios.iter().map(|(s, r)| format!("{s} {r:.2}x")).collect();
-        if !shifts.is_empty() {
-            println!("    stages: {}", shifts.join(", "));
-        }
-    }
-    for label in &report.missing_after {
-        println!(
-            "{label:<32} {:>12} {:>12} {:>8}  MISSING from after-document",
-            "-", "-", "-"
-        );
-    }
-    if report.passed() {
-        println!("\nPASS: no case regressed more than {max_pct}%");
-    } else {
-        let n = report.regressions().count() + report.missing_after.len();
-        eprintln!("\nFAIL: {n} case(s) regressed past the {max_pct}% budget");
-        std::process::exit(1);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serving throughput/latency frontier: the BENCH_serve_*.json pair
-// ---------------------------------------------------------------------------
-
-/// `repro serve-bench`: drive `iwino-serve` with an open-loop Poisson load
-/// and export the throughput/latency frontier as a bench-compare-gatable
-/// document. `--no-coalesce` (or `--max-batch 1`) is the baseline arm of
-/// the committed `BENCH_serve_baseline/after.json` pair. Exits non-zero
-/// when the run violates the amortization contract (plan-cache misses must
-/// stay at one per bucket no matter how many requests are served).
-fn serve_bench_cmd(args: &[String]) {
-    let mut cfg = iwino_bench::ServeBenchConfig::default();
-    let parse_or_die = |flag: &str, v: Option<&str>| -> Option<f64> {
-        v.map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: {flag} takes a number, got {v:?}");
-                std::process::exit(2);
-            })
-        })
-    };
-    if let Some(n) = parse_or_die("--requests", flag_value(args, "--requests")) {
-        cfg.requests = n as usize;
-    }
-    if let Some(r) = parse_or_die("--rate", flag_value(args, "--rate")) {
-        cfg.rate = r;
-    }
-    if let Some(b) = parse_or_die("--max-batch", flag_value(args, "--max-batch")) {
-        cfg.max_batch = (b as usize).max(1);
-    }
-    if let Some(w) = parse_or_die("--workers", flag_value(args, "--workers")) {
-        cfg.workers = (w as usize).max(1);
-    }
-    if let Some(s) = parse_or_die("--seed", flag_value(args, "--seed")) {
-        cfg.seed = s as u64;
-    }
-    if args.iter().any(|a| a == "--no-coalesce") {
-        cfg.max_batch = 1;
-    }
-    let out = flag_value(args, "--out").unwrap_or("repro_results/serve_bench.json");
-    println!("\n==== serve-bench: open-loop serving frontier ====");
-    println!(
-        "({} requests at {:.0} req/s over {} buckets; max_batch {}, {} pool lanes{})",
-        cfg.requests,
-        cfg.rate,
-        iwino_bench::serve_bench_buckets().len(),
-        cfg.max_batch,
-        cfg.workers,
-        if cfg.max_batch == 1 { " — coalescing OFF" } else { "" }
-    );
-    let report = match iwino_bench::run_serve_bench(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("serve-bench FAILED: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "{:<24} {:>8} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "bucket", "served", "batches", "coalesce", "p50 µs", "p99 µs", "Gflop/s"
-    );
-    for c in &report.cases {
-        println!(
-            "{:<24} {:>8} {:>8} {:>9.2}x {:>10.1} {:>10.1} {:>10.3}",
-            c.label,
-            c.served,
-            c.batches,
-            c.coalesce_factor,
-            c.p50_e2e_ns as f64 / 1e3,
-            c.p99_e2e_ns as f64 / 1e3,
-            c.gflops
-        );
-    }
-    println!(
-        "end-to-end: {} served in {:.1} ms — {:.0} req/s; plan cache {} hits / {} misses ({} buckets)",
-        report.served(),
-        report.wall_ns as f64 / 1e6,
-        report.throughput_rps,
-        report.plan_hits,
-        report.plan_misses,
-        report.buckets
-    );
-    match fs::write(out, report.to_json().pretty()) {
-        Ok(()) => println!("[saved {out}]"),
-        Err(e) => {
-            eprintln!("error: cannot write {out}: {e}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(reason) = report.amortization_failure() {
-        eprintln!("serve-bench FAILED amortization self-check: {reason}");
-        std::process::exit(1);
-    }
-    println!("[amortization self-check: one plan miss per bucket, every admitted request served]");
-}
-
-// ---------------------------------------------------------------------------
-// Flight recorder: Chrome Trace export of a stage-bench case
-// ---------------------------------------------------------------------------
-
-/// `repro trace [<case-label>]`: fly the recorder over one stage-bench case
-/// (default: the Fig-8 Γ8(6,3) headline case) and write a Chrome Trace
-/// Event document for Perfetto (<https://ui.perfetto.dev>).
-fn trace_cmd(args: &[String]) {
-    let cases = stage_bench_cases();
-    let pos = positional_args(args);
-    let case = match pos.first() {
-        None => &cases[0],
-        Some(label) => cases.iter().find(|c| &c.label == label).unwrap_or_else(|| {
-            let known: Vec<&str> = cases.iter().map(|c| c.label.as_str()).collect();
-            eprintln!("error: unknown trace case '{label}'; available: {}", known.join(", "));
-            std::process::exit(2);
-        }),
-    };
-    let reps: usize = match flag_value(args, "--reps").map(str::parse) {
-        None => 3,
-        Some(Ok(r)) => r,
-        Some(Err(_)) => {
-            eprintln!("error: --reps takes an integer");
-            std::process::exit(2);
-        }
-    };
-    let out = flag_value(args, "--out").unwrap_or("repro_results/trace.json");
-    println!(
-        "\n==== trace: {} ({}, ofms {:?}) ====",
-        case.label, case.spec, case.shape
-    );
-    println!("(rep 1 shows the engine_plan span — filter transform included; later reps");
-    println!(" are plan-cache hits whose worker chunks land on each pool lane's ring)");
-    let doc = iwino_bench::record_trace(case, reps);
-    let summary = iwino_bench::validate_chrome_trace(&doc).unwrap_or_else(|e| {
-        eprintln!("internal error: exported trace failed validation: {e}");
-        std::process::exit(1);
-    });
-    if let Err(e) = fs::write(out, doc.pretty()) {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(2);
-    }
-    println!(
-        "[saved {out}: {} events across {} threads, {} dropped — open in https://ui.perfetto.dev \
-         or chrome://tracing]",
-        summary.events, summary.tids, summary.dropped
-    );
-    if summary.dropped > 0 {
-        println!("(dropped events mean the per-thread ring filled; the recorder never overwrites)");
-    }
-    iwino_obs::reset_trace();
 }
 
 // ---------------------------------------------------------------------------

@@ -529,96 +529,6 @@ impl AccuracyTable {
     }
 }
 
-/// One case of the per-stage throughput bench (`repro bench-stages`): a
-/// Figure-8 shape (batch-scaled for CPU) with a forced primary kernel, so
-/// the same pipeline stages are exercised run after run and their effective
-/// rates can be compared across commits (`BENCH_*.json`).
-pub struct StageBenchCase {
-    pub label: String,
-    pub spec: GammaSpec,
-    pub shape: ConvShape,
-}
-
-/// The stage-bench case list. The headline case is the acceptance shape of
-/// the microkernel work: Γ8(6,3) on a Figure-8 panel row with IC = OC = 64
-/// and `OW` a multiple of n (exact cover — the Winograd-domain accumulate
-/// dominates). The others pin the ragged-width path, the §5.4 ruse strip
-/// gather, and the α = 16 regime.
-pub fn stage_bench_cases() -> Vec<StageBenchCase> {
-    vec![
-        StageBenchCase {
-            // Figure 8, Γ8(6,3) panel row (128, 96, 96, 64), N scaled 128 → 1.
-            label: "g8_6_3_fig8_96x96x64_exact".into(),
-            spec: GammaSpec::new(8, 6, 3, Variant::Standard),
-            shape: ConvShape::from_ofms(1, 96, 96, 64, 64, 3),
-        },
-        StageBenchCase {
-            label: "g8_6_3_95x95x64_ragged".into(),
-            spec: GammaSpec::new(8, 6, 3, Variant::Standard),
-            shape: ConvShape::from_ofms(1, 95, 95, 64, 64, 3),
-        },
-        StageBenchCase {
-            label: "g8ruse_4_5_fig8_64x64x64".into(),
-            spec: GammaSpec::new(8, 4, 5, Variant::Ruse),
-            shape: ConvShape::from_ofms(1, 64, 64, 64, 64, 5),
-        },
-        StageBenchCase {
-            label: "g16_8_9_32x32x64".into(),
-            spec: GammaSpec::new(16, 8, 9, Variant::Standard),
-            shape: ConvShape::from_ofms(1, 32, 32, 64, 64, 9),
-        },
-    ]
-}
-
-/// One case of the GEMM-class sweep (`repro bench-stages gemm`): a
-/// Figure 7–9 ofms shape (batch-scaled for CPU, N = 1) driven plan-cached
-/// through the engine's one GEMM-class backend, `im2col-indirect`.
-pub struct GemmBenchCase {
-    pub label: String,
-    pub shape: ConvShape,
-}
-
-/// The GEMM-class case list: one shape per Figure 8/9 regime, spanning the
-/// frontier from large-spatial/small-channel (gather-bound) to
-/// small-spatial/large-channel (GEMM-bound), plus the even-filter r = 4
-/// panel, the α = 16 large-filter regime, and two stride-2 down-sampling
-/// stages the Γ planner cannot run at all. IC = OC throughout (§6).
-pub fn gemm_bench_cases() -> Vec<GemmBenchCase> {
-    let unit: [(&str, usize, usize, usize, usize); 8] = [
-        // Figure 8 Γ8(6,3) panel rows (128, 96, 96, 64) / (256, 32, 32, 128)
-        // / (128, 12, 12, 512), N scaled to 1.
-        ("gemm_r3_96x96x64", 96, 96, 64, 3),
-        ("gemm_r3_32x32x128", 32, 32, 128, 3),
-        ("gemm_r3_12x12x512", 12, 12, 512, 3),
-        // Figure 8 Γ8(4,5) rows (32, 64, 64, 128) / (128, 16, 16, 256).
-        ("gemm_r5_64x64x128", 64, 64, 128, 5),
-        ("gemm_r5_16x16x256", 16, 16, 256, 5),
-        // Figure 8 Γ8(5,4) row (128, 40, 40, 128): the even-filter regime.
-        ("gemm_r4_40x40x128", 40, 40, 128, 4),
-        // Figure 9 Γ16(8,9) rows (32, 32, 32, 64) / (32, 16, 16, 128):
-        // the large-filter regime where K = 81·IC dominates.
-        ("gemm_r9_32x32x64", 32, 32, 64, 9),
-        ("gemm_r9_16x16x128", 16, 16, 128, 9),
-    ];
-    // Stride-2 down-sampling stages (ResNet-stem-like 3×3/s2 and a 5×5/s2):
-    // the indirection table's gather skips the unvisited input rows.
-    let strided: [(&str, usize, usize, usize); 2] =
-        [("gemm_s2_r3_56x56x64", 112, 64, 3), ("gemm_s2_r5_32x32x96", 64, 96, 5)];
-    let unit = unit.into_iter().map(|(label, oh, ow, oc, r)| GemmBenchCase {
-        label: label.into(),
-        shape: ConvShape::from_ofms(1, oh, ow, oc, oc, r),
-    });
-    let strided = strided.into_iter().map(|(label, hw, c, r)| GemmBenchCase {
-        label: label.into(),
-        shape: ConvShape {
-            sh: 2,
-            sw: 2,
-            ..ConvShape::square(1, hw, c, c, r)
-        },
-    });
-    unit.chain(strided).collect()
-}
-
 /// Scale an ofms batch size so the measured workload stays near
 /// `target_gflop` (quick mode). Returns `(scaled N, scale factor)`.
 pub fn scale_batch(ofms: Ofms, r: usize, target_gflop: f64) -> (usize, f64) {

@@ -4,13 +4,12 @@
 use crate::figures::{scale_batch, AccuracyTable, Panel};
 use iwino_baselines::{direct_conv_f64_ref, im2col_conv_nchw_scratch, winograd2d_conv, Im2colPlan};
 use iwino_core::{conv2d, ConvError, ConvOptions, Epilogue, GammaSpec};
-use iwino_engine::{ConvAlgorithm, Engine, Handle, WinogradBackend};
+use iwino_engine::{Engine, Handle};
 use iwino_gpu_sim::model::{Algorithm, Layout};
 use iwino_gpu_sim::DeviceSpec;
 use iwino_indirect::indirect_conv;
 use iwino_obs::Json;
 use iwino_tensor::{nchw_to_nhwc, nhwc_to_nchw, relative_error_histogram, ConvShape, ErrorStats, Tensor4};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One plotted point: series label → Gflop/s.
@@ -118,16 +117,12 @@ pub fn measure_engine_backend(name: &str, shape: &ConvShape, reps: usize) -> Res
     Ok(shape.flops() / dt / 1e9)
 }
 
-/// Measured CPU Gflop/s of the `Implicit_Precomp_GEMM` stand-ins. NHWC is
-/// the engine's indirect GEMM, plan-cached; NCHW is the im2col+GEMM
-/// baseline with its gather plan and OIHW filter built once, paying its
-/// layout conversions at the tensor edges inside the timed region — which
-/// is exactly the §6.1 point about NHWC being the native layout.
-pub fn measure_im2col(shape: &ConvShape, layout: Layout, reps: usize) -> f64 {
-    if layout == Layout::Nhwc {
-        return measure_engine_backend("im2col-indirect", shape, reps)
-            .unwrap_or_else(|e| panic!("im2col-indirect on {shape:?}: {e}"));
-    }
+/// Measured CPU Gflop/s of the NCHW `Implicit_Precomp_GEMM` stand-in: the
+/// im2col+GEMM baseline with its gather plan and OIHW filter built once,
+/// paying its layout conversions at the tensor edges inside the timed
+/// region — which is exactly the §6.1 point about NHWC being the native
+/// layout. (The NHWC series is the engine's `im2col-indirect` backend.)
+pub fn measure_im2col_nchw(shape: &ConvShape, reps: usize) -> f64 {
     let x = Tensor4::<f32>::random(shape.x_dims(), 13, -1.0, 1.0);
     let w = Tensor4::<f32>::random(shape.w_dims(), 14, -1.0, 1.0);
     let plan = Im2colPlan::new(shape);
@@ -206,12 +201,13 @@ pub fn run_panel(panel: &Panel, dev: &DeviceSpec, measure: bool, target_gflop: f
                 });
             }
             points.push(SeriesPoint {
-                series: "cpu:Im2col-GEMM-NHWC".into(),
-                gflops: measure_im2col(&shape, Layout::Nhwc, reps),
+                series: "cpu:Indirect-GEMM-NHWC".into(),
+                gflops: measure_engine_backend("im2col-indirect", &shape, reps)
+                    .unwrap_or_else(|e| panic!("im2col-indirect on {shape:?}: {e}")),
             });
             points.push(SeriesPoint {
                 series: "cpu:Im2col-GEMM-NCHW".into(),
-                gflops: measure_im2col(&shape, Layout::Nchw, reps),
+                gflops: measure_im2col_nchw(&shape, reps),
             });
             if panel.fused_winograd {
                 points.push(SeriesPoint {
@@ -397,276 +393,6 @@ pub fn run_histogram(table: &AccuracyTable, bins: usize, hi: f64, target_gflop: 
         bucket_width: hi / bins as f64,
         gamma_pct: relative_error_histogram(&gamma, &truth, bins, hi),
         cugemm_pct: relative_error_histogram(&gemm, &truth, bins, hi),
-    }
-}
-
-/// Effective rate of one pipeline stage over a stage-bench case: the
-/// paper-convention FLOPs of the whole run divided by the time attributed
-/// to this stage alone. The FLOP convention is fixed per shape, so the
-/// ratio of `gflops` across two commits is exactly the stage's speedup —
-/// this is the number `BENCH_*.json` trajectories compare.
-#[derive(Clone, Debug)]
-pub struct StageRate {
-    pub stage: &'static str,
-    pub ns: u64,
-    pub share: f64,
-    pub gflops: f64,
-    /// Per-span latency percentiles from the obs log2 histogram (upper
-    /// bucket bounds, so p50 ≤ p90 ≤ p99 by construction). The mean hides
-    /// the tail; these are what the serving-latency story is about.
-    pub p50_ns: u64,
-    pub p90_ns: u64,
-    pub p99_ns: u64,
-}
-
-/// Outcome of one [`StageBenchCase`](crate::figures::StageBenchCase).
-#[derive(Clone, Debug)]
-pub struct StageBenchResult {
-    pub label: String,
-    pub shape: String,
-    pub kernel: String,
-    pub reps: usize,
-    pub wall_ns: u64,
-    /// End-to-end achieved GFLOP/s across the reps.
-    pub gflops: f64,
-    /// Whether the reps ran through the engine's plan cache (filter
-    /// transformed once at warm-up) instead of re-planning per call.
-    pub via_engine: bool,
-    /// Microkernel ISA dispatched for this run (`iwino_simd::dispatch_info`).
-    /// Stage rates from different ISAs are not comparable; `repro
-    /// bench-stages --baseline` refuses the diff unless `--force`d.
-    pub isa: String,
-    pub stages: Vec<StageRate>,
-}
-
-impl StageBenchResult {
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("label", Json::from(self.label.as_str())),
-            ("shape", Json::from(self.shape.as_str())),
-            ("kernel", Json::from(self.kernel.as_str())),
-            ("reps", Json::from(self.reps)),
-            ("wall_ns", Json::from(self.wall_ns)),
-            ("gflops", Json::from(self.gflops)),
-            ("via_engine", Json::from(self.via_engine)),
-            ("isa", Json::from(self.isa.as_str())),
-            (
-                "stages",
-                Json::Obj(
-                    self.stages
-                        .iter()
-                        .map(|s| {
-                            (
-                                s.stage.to_string(),
-                                Json::obj(vec![
-                                    ("ns", Json::from(s.ns)),
-                                    ("share", Json::from(s.share)),
-                                    ("gflops", Json::from(s.gflops)),
-                                    ("p50_ns", Json::from(s.p50_ns)),
-                                    ("p90_ns", Json::from(s.p90_ns)),
-                                    ("p99_ns", Json::from(s.p99_ns)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// The effective rate of one stage (0.0 when the stage never ran).
-    pub fn stage_gflops(&self, stage: &str) -> f64 {
-        self.stages.iter().find(|s| s.stage == stage).map_or(0.0, |s| s.gflops)
-    }
-}
-
-/// Run one stage-bench case with profiling on and derive per-stage rates.
-/// The warm-up rep runs before the counters are reset, so the transform
-/// caches and the thread pool are hot when measurement starts.
-///
-/// With `via_engine`, the reps run through an [`Engine`] instead of the
-/// plan-per-call `conv2d` path: the warm-up builds (and caches) the
-/// plan, so the measured window holds only cache hits and the
-/// `filter_transform` stage drops out of the profile entirely — the ratio
-/// against a non-engine run of the same case is the plan cache's payoff.
-pub fn bench_stage_rates(case: &crate::figures::StageBenchCase, reps: usize, via_engine: bool) -> StageBenchResult {
-    use iwino_obs as obs;
-    let shape = &case.shape;
-    let x = Tensor4::<f32>::random(shape.x_dims(), 41, -1.0, 1.0);
-    let w = Tensor4::<f32>::random(shape.w_dims(), 42, -1.0, 1.0);
-    let opts = ConvOptions {
-        force_kernels: Some(vec![case.spec]),
-        ..Default::default()
-    };
-    // A private engine keeps the cache statistics (and the plan built for
-    // this forced kernel) out of the global engine other code shares.
-    let eng = Engine::new();
-    let algo: Arc<dyn ConvAlgorithm> = Arc::new(WinogradBackend::with_options(opts.clone()));
-    let handle = Handle::default();
-    let run_once = || {
-        if via_engine {
-            drop(
-                eng.conv_with(&algo, handle.filter_id(), &x, &w, shape, &Epilogue::None)
-                    .unwrap_or_else(|e| panic!("{}: {e}", case.label)),
-            );
-        } else {
-            drop(conv2d(&x, &w, shape, &opts).unwrap());
-        }
-    };
-    run_once(); // warm-up (and, via the engine, the plan build)
-    let reps = reps.max(1);
-    let was_enabled = obs::enabled();
-    obs::set_enabled(true);
-    obs::reset();
-    iwino_parallel::reset_global_stats();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        run_once();
-    }
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let snap = obs::snapshot();
-    obs::set_enabled(was_enabled);
-    if via_engine {
-        let st = eng.stats();
-        assert_eq!(
-            st.plan_misses, 1,
-            "engine-mode bench must plan exactly once (at warm-up)"
-        );
-        assert_eq!(
-            st.plan_hits as usize, reps,
-            "every measured rep must hit the plan cache"
-        );
-    }
-
-    let flops = snap.counter(iwino_obs::Counter::Flops) as f64;
-    let pipeline = [
-        iwino_obs::Stage::FilterTransform,
-        iwino_obs::Stage::InputTransform,
-        iwino_obs::Stage::OuterProduct,
-        iwino_obs::Stage::OutputTransform,
-        iwino_obs::Stage::GemmRemainder,
-    ];
-    let attributed: u64 = pipeline.iter().map(|&s| snap.stage_ns(s)).sum();
-    let stages = pipeline
-        .iter()
-        .filter(|&&s| snap.stage_ns(s) > 0)
-        .map(|&s| {
-            let ns = snap.stage_ns(s);
-            let hist = snap.histogram(iwino_obs::HistSite::Stage(s));
-            StageRate {
-                stage: s.name(),
-                ns,
-                share: if attributed > 0 {
-                    ns as f64 / attributed as f64
-                } else {
-                    0.0
-                },
-                gflops: flops / ns as f64,
-                p50_ns: hist.p50_ns(),
-                p90_ns: hist.p90_ns(),
-                p99_ns: hist.p99_ns(),
-            }
-        })
-        .collect();
-    let (n, oh, ow, oc) = (shape.n, shape.oh(), shape.ow(), shape.oc);
-    StageBenchResult {
-        label: case.label.clone(),
-        shape: format!("{n}x{oh}x{ow}x{oc}"),
-        kernel: format!("{}", case.spec),
-        reps,
-        wall_ns,
-        gflops: if wall_ns > 0 { flops / wall_ns as f64 } else { 0.0 },
-        via_engine,
-        isa: iwino_simd::dispatch_info().isa.to_string(),
-        stages,
-    }
-}
-
-/// Run one GEMM-class case plan-cached through a private engine's
-/// `im2col-indirect` backend and derive per-stage rates. The warm-up builds
-/// (and caches) the plan — the HWIO filter reshape, filter-side packing and
-/// the indirection-table build are paid once — so the measured window holds
-/// only cache hits drawing A-panel scratch from the engine's arena: the
-/// steady-state serving path.
-pub fn bench_backend_rates(case: &crate::figures::GemmBenchCase, reps: usize) -> StageBenchResult {
-    const BACKEND: &str = "im2col-indirect";
-    use iwino_obs as obs;
-    let shape = &case.shape;
-    let x = Tensor4::<f32>::random(shape.x_dims(), 43, -1.0, 1.0);
-    let w = Tensor4::<f32>::random(shape.w_dims(), 44, -1.0, 1.0);
-    let eng = Engine::new();
-    let algo = eng.algorithm(BACKEND).unwrap_or_else(|e| panic!("{}: {e}", case.label));
-    let handle = Handle::default();
-    let run_once = || {
-        drop(
-            eng.conv_with(&algo, handle.filter_id(), &x, &w, shape, &Epilogue::None)
-                .unwrap_or_else(|e| panic!("{}: {e}", case.label)),
-        );
-    };
-    run_once(); // warm-up: plan build + arena first-touch
-    let reps = reps.max(1);
-    let was_enabled = obs::enabled();
-    obs::set_enabled(true);
-    obs::reset();
-    iwino_parallel::reset_global_stats();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        run_once();
-    }
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let snap = obs::snapshot();
-    obs::set_enabled(was_enabled);
-    let st = eng.stats();
-    assert_eq!(st.plan_misses, 1, "backend bench must plan exactly once (at warm-up)");
-    assert_eq!(
-        st.plan_hits as usize, reps,
-        "every measured rep must hit the plan cache"
-    );
-
-    let flops = snap.counter(obs::Counter::Flops) as f64;
-    // `baseline` is the whole conv call; the GEMM sub-stages nest inside
-    // it, so only `baseline` counts toward the attributed total.
-    // `indirect_setup` only fires on a table (re)build — steady-state reps
-    // never touch it, so a nonzero reading here flags a caching bug.
-    let pipeline = [
-        obs::Stage::Baseline,
-        obs::Stage::IndirectSetup,
-        obs::Stage::GemmPack,
-        obs::Stage::GemmKernel,
-    ];
-    let attributed = snap.stage_ns(obs::Stage::Baseline);
-    let stages = pipeline
-        .iter()
-        .filter(|&&s| snap.stage_ns(s) > 0)
-        .map(|&s| {
-            let ns = snap.stage_ns(s);
-            let hist = snap.histogram(obs::HistSite::Stage(s));
-            StageRate {
-                stage: s.name(),
-                ns,
-                share: if attributed > 0 {
-                    ns as f64 / attributed as f64
-                } else {
-                    0.0
-                },
-                gflops: flops / ns as f64,
-                p50_ns: hist.p50_ns(),
-                p90_ns: hist.p90_ns(),
-                p99_ns: hist.p99_ns(),
-            }
-        })
-        .collect();
-    let (n, oh, ow, oc) = (shape.n, shape.oh(), shape.ow(), shape.oc);
-    StageBenchResult {
-        label: case.label.clone(),
-        shape: format!("{n}x{oh}x{ow}x{oc}"),
-        kernel: BACKEND.to_string(),
-        reps,
-        wall_ns,
-        gflops: if wall_ns > 0 { flops / wall_ns as f64 } else { 0.0 },
-        via_engine: true,
-        isa: iwino_simd::dispatch_info().isa.to_string(),
-        stages,
     }
 }
 
@@ -892,7 +618,7 @@ pub fn validate_stage_model(shape: &ConvShape, spec: GammaSpec, reps: usize) -> 
 mod tests {
     use super::*;
     use crate::figures::AccuracyTable;
-    use crate::figures::{stage_bench_cases, FIG8};
+    use crate::figures::FIG8;
 
     #[test]
     fn panel_simulation_produces_all_series() {
@@ -957,57 +683,6 @@ mod tests {
         for r in &rows {
             assert!(r.divergence() <= 1.0, "{r:?}");
         }
-    }
-
-    #[test]
-    fn engine_mode_amortises_the_filter_transform() {
-        let _guard = crate::kernel_test_guard();
-        let case = &stage_bench_cases()[0];
-        let per_call = bench_stage_rates(case, 2, false);
-        let engined = bench_stage_rates(case, 2, true);
-        assert!(
-            per_call.stages.iter().any(|s| s.stage == "filter_transform"),
-            "plan-per-call reps re-transform the filter: {:?}",
-            per_call.stages
-        );
-        assert!(
-            engined.stages.iter().all(|s| s.stage != "filter_transform"),
-            "plan-cached reps must not touch the filter transform: {:?}",
-            engined.stages
-        );
-        assert!(engined.via_engine && !per_call.via_engine);
-        // Every reported stage must carry ordered, populated percentiles
-        // (the schema-v3 addition bench-compare readers may rely on).
-        for s in per_call.stages.iter().chain(&engined.stages) {
-            assert!(s.p50_ns > 0, "{}: histogram never recorded", s.stage);
-            assert!(s.p50_ns <= s.p90_ns && s.p90_ns <= s.p99_ns, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn backend_bench_runs_indirect_plan_cached() {
-        let _guard = crate::kernel_test_guard();
-        // A strided miniature of the `gemm` cases: the table is built
-        // at warm-up (inside the plan), so no measured rep may re-enter
-        // `indirect_setup`, and the kernel column must name the backend.
-        let case = crate::figures::GemmBenchCase {
-            label: "ind_smoke_s2".into(),
-            shape: ConvShape {
-                sh: 2,
-                sw: 2,
-                ..ConvShape::square(1, 16, 8, 8, 3)
-            },
-        };
-        let r = bench_backend_rates(&case, 2);
-        assert_eq!(r.kernel, "im2col-indirect");
-        assert!(r.via_engine);
-        assert!(
-            r.stages.iter().all(|s| s.stage != "indirect_setup"),
-            "steady-state reps rebuilt the indirection table: {:?}",
-            r.stages
-        );
-        assert!(r.stages.iter().any(|s| s.stage == "baseline"), "{:?}", r.stages);
-        assert!(r.gflops > 0.0);
     }
 
     #[test]

@@ -37,6 +37,11 @@ fn inference_forwards_hit_plan_cache_with_no_arena_misses() {
         "no plan rebuilds after warmup"
     );
     assert_eq!(
+        snap.stage_ns(obs::Stage::FilterTransform),
+        0,
+        "plan-cached forwards must not re-transform the filter"
+    );
+    assert_eq!(
         snap.counter(obs::Counter::ArenaMisses),
         0,
         "the fused path allocates no workspace; nothing may miss the arena"

@@ -3,10 +3,10 @@
 //! The observability layer must stay zero-dependency (it sits below every
 //! other crate in the workspace, and the build environment is offline), so
 //! metrics reports are serialized through this hand-rolled value type
-//! instead of serde. [`Json::parse`] is the matching reader: `repro
-//! bench-compare` diffs committed bench documents and the trace-validity
-//! tests re-read exported timelines, so round-tripping through this type
-//! must be lossless for everything the workspace emits.
+//! instead of serde. [`Json::parse`] is the matching reader: the
+//! trace validator and the tests re-read exported timelines and metrics
+//! documents, so round-tripping through this type must be lossless for
+//! everything the workspace emits.
 
 use std::fmt::{self, Write as _};
 

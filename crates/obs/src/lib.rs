@@ -45,8 +45,8 @@ pub use json::{Json, JsonParseError};
 pub use report::{MetricsReport, SCHEMA_VERSION};
 pub use trace::{
     export_chrome_trace, reset_trace, set_trace_enabled, set_trace_ring_capacity, set_trace_thread_label, trace_begin,
-    trace_enabled, trace_end, trace_meta, trace_ring_capacity, trace_span, TraceMeta, TraceSpan,
-    DEFAULT_TRACE_RING_CAPACITY,
+    trace_enabled, trace_end, trace_meta, trace_ring_capacity, trace_span, validate_chrome_trace, TraceMeta, TraceSpan,
+    TraceSummary, DEFAULT_TRACE_RING_CAPACITY,
 };
 
 /// Pipeline stages attributed by [`span`]. `Total` covers a whole

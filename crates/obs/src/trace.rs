@@ -1,5 +1,5 @@
-//! Flight-recorder tracing: bounded per-thread event rings plus a Chrome
-//! Trace Event exporter.
+//! Flight-recorder tracing: bounded per-thread event rings, a Chrome Trace
+//! Event exporter and its validator ([`validate_chrome_trace`]).
 //!
 //! Aggregate stage timers (lib.rs) answer "how much"; the flight recorder
 //! answers "when, and on which worker" — the multi-worker timeline the
@@ -335,49 +335,103 @@ pub fn export_chrome_trace() -> Json {
     ])
 }
 
+/// What [`validate_chrome_trace`] measured while checking a document.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceSummary {
+    /// `B`/`E` events (metadata records excluded).
+    pub events: usize,
+    /// Distinct threads that recorded at least one span.
+    pub tids: usize,
+    /// Events refused because a ring was full, per the embedded trace_meta.
+    pub dropped: u64,
+}
+
+/// Check that `doc` is a structurally valid Chrome Trace Event document
+/// as [`export_chrome_trace`] writes it: every event carries
+/// `name`/`ph`/`pid`/`tid`, phases are only `B`/`E`/`M`, and — the
+/// recorder's own invariant, which the ring's reservation rule guarantees
+/// even under overflow — per-thread `B`/`E` events nest, balance, and never
+/// go back in time.
+pub fn validate_chrome_trace(doc: &Json) -> Result<TraceSummary, String> {
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("missing traceEvents array")?;
+    let mut threads: std::collections::BTreeMap<u64, (Vec<String>, f64)> = std::collections::BTreeMap::new();
+    let mut span_events = 0usize;
+    for (i, e) in events.iter().enumerate() {
+        let ph = e
+            .get("ph")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("event {i}: missing ph"))?;
+        let name = e
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("event {i}: missing name"))?;
+        e.get("pid")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("event {i}: missing pid"))?;
+        let tid = e
+            .get("tid")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("event {i}: missing tid"))?;
+        match ph {
+            "M" => continue, // metadata (thread names) carries no ts
+            "B" | "E" => {
+                let ts = e
+                    .get("ts")
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| format!("event {i}: missing ts"))?;
+                if !ts.is_finite() || ts < 0.0 {
+                    return Err(format!("event {i}: bad ts {ts}"));
+                }
+                if name == "unknown" {
+                    return Err(format!("event {i}: stage id did not decode"));
+                }
+                span_events += 1;
+                let (stack, last_ts) = threads.entry(tid).or_insert((Vec::new(), 0.0));
+                if ts < *last_ts {
+                    return Err(format!("event {i}: ts {ts} goes back in time on tid {tid}"));
+                }
+                *last_ts = ts;
+                if ph == "B" {
+                    stack.push(name.to_string());
+                } else if stack.pop().as_deref() != Some(name) {
+                    return Err(format!("event {i}: E '{name}' without matching B on tid {tid}"));
+                }
+            }
+            other => return Err(format!("event {i}: unexpected ph {other:?}")),
+        }
+    }
+    let tids = threads.len();
+    for (tid, (stack, _)) in threads {
+        if !stack.is_empty() {
+            return Err(format!("tid {tid} left unclosed spans: {stack:?}"));
+        }
+    }
+    let dropped = doc
+        .get("otherData")
+        .and_then(|o| o.get("trace_meta"))
+        .and_then(|m| m.get("trace_events_dropped"))
+        .and_then(Json::as_u64)
+        .ok_or("missing otherData.trace_meta.trace_events_dropped")?;
+    Ok(TraceSummary {
+        events: span_events,
+        tids,
+        dropped,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Events of one ring, decoded from an export: `(ph, stage name, ts_us)`.
-    fn events_for_label(doc: &Json, label: &str) -> Vec<(String, String, f64)> {
-        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
-        let tid = events
-            .iter()
-            .find(|e| {
-                e.get("ph").and_then(Json::as_str) == Some("M")
-                    && e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str) == Some(label)
-            })
-            .and_then(|e| e.get("tid"))
-            .and_then(Json::as_u64);
-        let Some(tid) = tid else { return Vec::new() };
-        events
-            .iter()
-            .filter(|e| e.get("tid").and_then(Json::as_u64) == Some(tid))
-            .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
-            .map(|e| {
-                (
-                    e.get("ph").and_then(Json::as_str).unwrap().to_string(),
-                    e.get("name").and_then(Json::as_str).unwrap().to_string(),
-                    e.get("ts").and_then(Json::as_f64).unwrap(),
-                )
-            })
-            .collect()
-    }
-
-    fn assert_balanced(events: &[(String, String, f64)]) {
-        let mut stack: Vec<&str> = Vec::new();
-        let mut last_ts = f64::NEG_INFINITY;
-        for (ph, name, ts) in events {
-            assert!(*ts >= last_ts, "timestamps must be non-decreasing per thread");
-            last_ts = *ts;
-            match ph.as_str() {
-                "B" => stack.push(name),
-                "E" => assert_eq!(stack.pop(), Some(name.as_str()), "E without matching B"),
-                other => panic!("unexpected ph {other:?}"),
-            }
-        }
-        assert!(stack.is_empty(), "unclosed B events: {stack:?}");
+    /// Validate an export after a round trip through its serialized form:
+    /// check what a trace file would actually hold, not the in-memory tree.
+    fn validate_round_trip(doc: &Json) -> (Json, TraceSummary) {
+        let parsed = Json::parse(&doc.pretty()).expect("exported trace must be valid JSON");
+        let summary = validate_chrome_trace(&parsed).expect("exported trace must validate");
+        (parsed, summary)
     }
 
     #[test]
@@ -397,13 +451,11 @@ mod tests {
         .unwrap();
         set_trace_ring_capacity(old_cap);
         set_trace_enabled(false);
-        let doc = export_chrome_trace();
-        let events = events_for_label(&doc, "overflow-test");
+        let (_, summary) = validate_round_trip(&export_chrome_trace());
         // 32 slots hold 16 sequential begin/end pairs; 84 begins dropped,
         // and none of their ends were emitted.
-        assert_eq!(events.len(), 32);
-        assert_balanced(&events);
-        assert!(trace_meta().dropped >= 84, "dropped = {}", trace_meta().dropped);
+        assert_eq!((summary.events, summary.tids), (32, 1), "{summary:?}");
+        assert!(summary.dropped >= 84, "{summary:?}");
     }
 
     #[test]
@@ -430,10 +482,10 @@ mod tests {
         .unwrap();
         set_trace_ring_capacity(old_cap);
         set_trace_enabled(false);
-        let events = events_for_label(&export_chrome_trace(), "nest-test");
-        assert_eq!(events.len(), 8, "4 admitted begins and their 4 ends");
-        assert_balanced(&events);
-        assert!(trace_meta().dropped >= 4);
+        let (_, summary) = validate_round_trip(&export_chrome_trace());
+        assert_eq!(summary.events, 8, "4 admitted begins and their 4 ends");
+        assert_eq!(summary.tids, 1);
+        assert!(summary.dropped >= 4, "{summary:?}");
     }
 
     #[test]
@@ -460,16 +512,87 @@ mod tests {
             let _inner = trace_span(Stage::OuterProduct);
         }
         set_trace_enabled(false);
-        let doc = export_chrome_trace();
-        let parsed = Json::parse(&doc.pretty()).expect("exported trace must be valid JSON");
-        let events = events_for_label(&parsed, "export-test");
-        assert_eq!(events.len(), 4);
-        assert_balanced(&events);
+        let (parsed, summary) = validate_round_trip(&export_chrome_trace());
+        assert_eq!(
+            summary,
+            TraceSummary {
+                events: 4,
+                tids: 1,
+                dropped: 0
+            }
+        );
+        let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).unwrap().to_string();
+        let label = events
+            .iter()
+            .find(|e| field(e, "ph") == "M")
+            .and_then(|e| e.get("args"));
+        assert_eq!(label.map(|a| field(a, "name")).as_deref(), Some("export-test"));
+        let spans: Vec<(String, String)> = events
+            .iter()
+            .filter(|e| field(e, "ph") != "M")
+            .map(|e| (field(e, "ph"), field(e, "name")))
+            .collect();
         // Inner span closes first (LIFO drop order).
-        assert_eq!((events[2].0.as_str(), events[2].1.as_str()), ("E", "outer_product"));
-        assert_eq!((events[3].0.as_str(), events[3].1.as_str()), ("E", "total"));
+        let want = [
+            ("B", "total"),
+            ("B", "outer_product"),
+            ("E", "outer_product"),
+            ("E", "total"),
+        ];
+        assert_eq!(spans, want.map(|(ph, name)| (ph.to_string(), name.to_string())));
         let other = parsed.get("otherData").expect("otherData");
         assert_eq!(other.get("kind").and_then(Json::as_str), Some("trace"));
         assert_eq!(other.get("schema_version").and_then(Json::as_u64), Some(SCHEMA_VERSION));
+    }
+
+    #[test]
+    fn validator_rejects_broken_documents() {
+        let cases = [
+            (r#"{"displayTimeUnit": "ms"}"#, "traceEvents"),
+            (
+                r#"{"traceEvents": [{"name": "x", "ph": "B", "pid": 1, "tid": 7, "ts": 1.0}]}"#,
+                "unclosed",
+            ),
+            (
+                r#"{"traceEvents": [{"name": "x", "ph": "E", "pid": 1, "tid": 7, "ts": 1.0}]}"#,
+                "without matching B",
+            ),
+            (
+                r#"{"traceEvents": [{"name": "x", "ph": "X", "pid": 1, "tid": 7, "ts": 1.0}]}"#,
+                "unexpected ph",
+            ),
+            (
+                r#"{"traceEvents": [{"ph": "B", "pid": 1, "tid": 7, "ts": 1.0}]}"#,
+                "missing name",
+            ),
+            (
+                r#"{"traceEvents": [{"name": "x", "ph": "B", "pid": 1, "tid": 7, "ts": 2.0},
+                                    {"name": "x", "ph": "E", "pid": 1, "tid": 7, "ts": 1.0}]}"#,
+                "back in time",
+            ),
+        ];
+        for (text, want) in cases {
+            let err = validate_chrome_trace(&Json::parse(text).unwrap()).unwrap_err();
+            assert!(err.contains(want), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn validator_accepts_a_minimal_balanced_document() {
+        let text = r#"{
+            "traceEvents": [
+                {"name": "thread_name", "ph": "M", "pid": 1, "tid": 7, "args": {"name": "w0"}},
+                {"name": "total", "ph": "B", "pid": 1, "tid": 7, "ts": 0.5},
+                {"name": "worker_chunk", "ph": "B", "pid": 1, "tid": 9, "ts": 1.0},
+                {"name": "worker_chunk", "ph": "E", "pid": 1, "tid": 9, "ts": 2.0},
+                {"name": "total", "ph": "E", "pid": 1, "tid": 7, "ts": 3.0}
+            ],
+            "otherData": {"trace_meta": {"trace_events_dropped": 0}}
+        }"#;
+        let s = validate_chrome_trace(&Json::parse(text).unwrap()).unwrap();
+        assert_eq!(s.events, 4);
+        assert_eq!(s.tids, 2);
+        assert_eq!(s.dropped, 0);
     }
 }

@@ -14,7 +14,8 @@
 //! high-water, and per-bucket end-to-end p50/p99 — exported as the
 //! metrics-schema-v5 `serve` section ([`iwino_obs::ServeReport`]) and
 //! mirrored into the global `serve_*` counters and histogram sites.
-//! `repro serve-bench` drives this crate with an open-loop load generator.
+//! The repository benchmark's `serve-open` workload drives this crate with
+//! an open-loop load generator.
 
 #![forbid(unsafe_code)]
 

@@ -38,7 +38,7 @@ pub struct ServeConfig {
     /// [`ServeError::QueueFull`]. Clamped to at least 1.
     pub queue_capacity: usize,
     /// Most requests one coalesced batch may carry. Clamped to at least 1;
-    /// 1 disables coalescing (the baseline arm of `repro serve-bench`).
+    /// 1 disables coalescing.
     pub max_batch: usize,
     /// Execution lanes for the batch pool (the coalescer participates as
     /// the caller lane). Clamped to at least 1.

@@ -39,43 +39,33 @@ echo "== flight-recorder trace validity (native + forced-scalar dispatch) =="
 # Explicit acceptance run of the Chrome Trace gate on both dispatch lanes
 # (also part of the workspace passes above; named here so a trace-format
 # break is attributed immediately instead of surfacing as a generic test
-# failure).
-cargo test --offline -q -p iwino-bench --test trace_validity
-IWINO_FORCE_SCALAR=1 cargo test --offline -q -p iwino-bench --test trace_validity
+# failure): a real engine capture must round-trip through the parser and
+# pass iwino_obs::validate_chrome_trace.
+cargo test --offline -q -p iwino-engine --test trace
+IWINO_FORCE_SCALAR=1 cargo test --offline -q -p iwino-engine --test trace
 
 echo "== serve concurrency net (native + forced-scalar dispatch) =="
 # Explicit acceptance run of the batch-serving net (also part of the
 # workspace passes above; named so a serving break is attributed
-# immediately): exactly-once / bitwise-serial property tests, skewed-burst
-# + oversubscription stress, deadline/admission edges, and the serve-bench
-# schema round-trip. Both dispatch lanes must serve bitwise-serial output.
+# immediately): exactly-once / bitwise-serial property tests (including
+# one plan miss per used bucket, every further batch a hit), skewed-burst
+# + oversubscription stress, and deadline/admission edges. Both dispatch
+# lanes must serve bitwise-serial output.
 PROPTEST_CASES=64 cargo test --offline -q -p iwino-serve
 PROPTEST_CASES=64 IWINO_FORCE_SCALAR=1 cargo test --offline -q -p iwino-serve
-cargo test --offline -q -p iwino-bench --test serve_schema
 
-echo "== serve-bench smoke (amortization self-check) =="
-# A small open-loop run: repro serve-bench exits nonzero unless plan-cache
-# misses equal the bucket count (one filter-bank build per bucket, ever)
-# and every admitted request was served.
-mkdir -p repro_results
-cargo run --offline --release -p iwino-bench --bin repro -- \
-  serve-bench --requests 300 --rate 50000 --out repro_results/serve_smoke.json
+echo "== repository benchmark: unit tests =="
+# benchmark/ is its own package (not a workspace member), so the workspace
+# passes above do not reach its tests.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== perf-regression gate (bench-compare over the committed serve pair) =="
-# Diffs the committed serving A/B (coalescing off vs max_batch 16): each
-# bucket's served-FLOPs rate must hold within 10% of its baseline. Both
-# documents carry dispatch records, so ISA parity is checked for real (no
-# --force).
-cargo run --offline --release -p iwino-bench --bin repro -- \
-  bench-compare BENCH_serve_baseline.json BENCH_serve_after.json --max-regression 10
-
-echo "== perf-regression gate (bench-compare over the committed PR-5 pair) =="
-# Diffs the committed stage-bench trajectory: the after-document must hold
-# every case within 10% of its baseline. --force because the v1 baseline
-# predates the dispatch record (cannot prove ISA parity); exits 1 on a
-# regression, which fails this gate.
-cargo run --offline --release -p iwino-bench --bin repro -- \
-  bench-compare BENCH_pr5_baseline.json BENCH_pr5_after.json --max-regression 10 --force
+echo "== repository benchmark: smoke (native + forced-scalar dispatch) =="
+# A one-second live run of every workload on this checkout; exits nonzero
+# unless each workload attempts operations and none of them fails. The
+# full A/B comparison is `benchmark all` on two checkouts followed by
+# `benchmark agree` (see benchmark/README.md).
+cargo run --offline --release -q --manifest-path benchmark/Cargo.toml -- smoke
+IWINO_FORCE_SCALAR=1 cargo run --offline --release -q --manifest-path benchmark/Cargo.toml -- smoke
 
 echo "== engine smoke (every registry backend vs the f64 reference) =="
 # Drives all of BACKEND_NAMES by name through iwino-engine, checks each
