@@ -6,6 +6,10 @@
 //! thread blocks, chosen because `feature-map size × channel size` is
 //! roughly constant across CNN layers so the task count stays consistent
 //! (§5.1).
+//!
+//! [`PreparedConv`]'s row pass is the only Γ execution loop. Its geometry carries a
+//! depth axis, `(1, 1, 0)` for 2-D, so [`crate::nd::conv3d`] runs through
+//! the same pass over `N×OD×OH` rows: the rank lives only in the row plan.
 
 use crate::error::{expect_dims, ConvError};
 use crate::filter::{filter_hwio, TransformedFilter};
@@ -17,6 +21,7 @@ use iwino_parallel as par;
 use iwino_simd as simd;
 use iwino_tensor::{ConvShape, Tensor4};
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Output epilogue fused into the convolution's row pass (bias add and/or
@@ -153,6 +158,32 @@ pub fn deconv2d(
     PreparedConv::deconv(w, shape, opts)?.execute(dy, &Epilogue::None)
 }
 
+/// Depth axis of a plan's geometry: input depth, filter depth and depth
+/// padding. A 3-D filter `OC×FD×FH×FW×IC` is laid out like the 2-D filter
+/// `OC×(FD·FH)×FW×IC`, so the depth axis only adds filter planes
+/// `fd·FH + fh` to each output row's plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Depth {
+    pub id: usize,
+    pub fd: usize,
+    pub pd: usize,
+}
+
+impl Depth {
+    /// The depth axis of a 2-D convolution.
+    pub const FLAT: Depth = Depth { id: 1, fd: 1, pd: 0 };
+
+    fn od(&self) -> usize {
+        self.id + 2 * self.pd + 1 - self.fd
+    }
+}
+
+/// Filter taps `f < len` whose input coordinate `o + f − pad` lies inside
+/// `0..size`; the rest read implicit zero padding.
+fn taps(o: usize, len: usize, pad: usize, size: usize) -> Range<usize> {
+    pad.saturating_sub(o)..len.min((size + pad).saturating_sub(o))
+}
+
 /// A planned convolution with its transformed-filter bank, reusable across
 /// calls on same-shape inputs.
 ///
@@ -167,10 +198,12 @@ pub struct PreparedConv {
     /// Geometry this plan *executes* (for deconv this is the backward
     /// geometry whose input is `dy`).
     shape: ConvShape,
+    /// Depth axis of the executed geometry; [`Depth::FLAT`] for 2-D.
+    depth: Depth,
     plan: SegmentPlan,
     kernels: Vec<(GammaSpec, Arc<GammaKernel>, TransformedFilter)>,
     /// HWIO remainder filter pre-packed into GEMM panels (`K×OC`,
-    /// `K = FH·FW·IC`), built only when the plan has a GEMM segment.
+    /// `K = FD·FH·FW·IC`), built only when the plan has a GEMM segment.
     w_packed: Option<PackedB>,
     /// Segment → kernel index, resolved once instead of per row.
     seg_kernels: Vec<Option<usize>>,
@@ -188,7 +221,7 @@ impl PreparedConv {
             });
         }
         expect_dims("filter", w.dims(), shape.w_dims())?;
-        Ok(Self::build(w, *shape, opts, false))
+        Ok(Self::build(w, *shape, Depth::FLAT, opts, false))
     }
 
     /// Plan the backward-data pass of the forward convolution described by
@@ -220,13 +253,20 @@ impl PreparedConv {
         );
         debug_assert_eq!(bw.oh(), shape.ih);
         debug_assert_eq!(bw.ow(), shape.iw);
-        Ok(Self::build(w, bw, opts, true))
+        Ok(Self::build(w, bw, Depth::FLAT, opts, true))
     }
 
     /// Shared planning + filter-transform step. For deconv, `s` is already
     /// the backward geometry (input = dy) and `w` is the *forward* filter —
-    /// the rotation happens inside the filter transforms.
-    fn build(w: &Tensor4<f32>, s: ConvShape, opts: &ConvOptions, rotate: bool) -> PreparedConv {
+    /// the rotation happens inside the filter transforms. `w` holds
+    /// `depth.fd · s.fh` filter planes.
+    pub(crate) fn build(
+        w: &Tensor4<f32>,
+        s: ConvShape,
+        depth: Depth,
+        opts: &ConvOptions,
+        rotate: bool,
+    ) -> PreparedConv {
         let plan = opts.plan_for(s.ow(), s.fw, s.oc);
         // Each distinct Γ kernel (cached process-wide — transform generation
         // is exact rational arithmetic) plus its transformed filter bank.
@@ -248,7 +288,7 @@ impl PreparedConv {
         let needs_direct = plan.segments.iter().any(|g| g.kernel == KernelChoice::Gemm);
         let w_packed = needs_direct.then(|| {
             let wd = filter_hwio(w, rotate);
-            PackedB::pack(s.fh * s.fw * s.ic, s.oc, wd.as_slice())
+            PackedB::pack(depth.fd * s.fh * s.fw * s.ic, s.oc, wd.as_slice())
         });
         drop(ft_span);
         let seg_kernels: Vec<Option<usize>> = plan
@@ -266,6 +306,7 @@ impl PreparedConv {
             .collect();
         PreparedConv {
             shape: s,
+            depth,
             plan,
             kernels,
             w_packed,
@@ -283,11 +324,7 @@ impl PreparedConv {
     /// filter — the plan's resident workspace, matching the
     /// `AlgorithmClass::ImcolWinogradFused` accounting.
     pub fn filter_bank_bytes(&self) -> usize {
-        let banks: usize = self
-            .kernels
-            .iter()
-            .map(|(spec, _, _)| self.shape.fh * spec.alpha * self.shape.ic * self.shape.oc * 4)
-            .sum();
+        let banks: usize = self.kernels.iter().map(|(_, _, tw)| tw.bytes()).sum();
         banks + self.w_packed.as_ref().map_or(0, |pb| pb.resident_bytes())
     }
 
@@ -308,13 +345,21 @@ impl PreparedConv {
         epilogue: &Epilogue,
         scratch: &dyn ScratchProvider,
     ) -> Result<Tensor4<f32>, ConvError> {
-        let s = self.shape;
-        expect_dims("input", x.dims(), s.x_dims())?;
-        let (oh, ow) = (s.oh(), s.ow());
+        expect_dims("input", x.dims(), self.shape.x_dims())?;
+        let mut y = Tensor4::<f32>::zeros(self.shape.y_dims());
+        self.run(x.as_slice(), y.as_mut_slice(), epilogue, scratch);
+        Ok(y)
+    }
+
+    /// The row pass over flat NHWC (2-D) or NDHWC (3-D) slices whose sizes
+    /// the caller has checked against the plan's geometry.
+    pub(crate) fn run(&self, xs: &[f32], ys: &mut [f32], epilogue: &Epilogue, scratch: &dyn ScratchProvider) {
+        let (s, depth) = (self.shape, self.depth);
+        let (od, oh, ow) = (depth.od(), s.oh(), s.ow());
         let _total = obs::span(obs::Stage::Total);
         // The paper's GFLOP/s convention: count the FLOPs of the standard
         // convolution producing the same output, whatever kernel runs.
-        obs::add(obs::Counter::Flops, s.flops() as u64);
+        obs::add(obs::Counter::Flops, (s.flops() * (od * depth.fd) as f64) as u64);
         if obs::enabled() {
             // Stamp the metrics document with the dispatched microkernel ISA
             // so cross-run comparisons can detect (and refuse) cross-ISA
@@ -328,33 +373,26 @@ impl PreparedConv {
             });
         }
 
-        let mut y = Tensor4::<f32>::zeros(s.y_dims());
-        let xs = x.as_slice();
         let row_elems = ow * s.oc;
-        let img_elems = s.ih * s.iw * s.ic;
+        let img_elems = depth.id * s.ih * s.iw * s.ic;
 
         // Per-worker scratch, reused across rows (thread-local because tasks
         // of many rows land on the same worker).
         thread_local! {
-            static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+            static SCRATCH: RefCell<(Scratch, Vec<(usize, usize)>)> = RefCell::default();
         }
 
-        // In-bounds filter rows for one output row — the dominant per-row
-        // cost factor: rows near the top/bottom image borders intersect
-        // fewer filter rows and are proportionally cheaper.
-        let in_bounds_fh = |oy: usize| {
-            (0..s.fh)
-                .filter(|&fh| {
-                    let iy = oy as isize + fh as isize - s.ph as isize;
-                    iy >= 0 && (iy as usize) < s.ih
-                })
-                .count()
-        };
+        // In-bounds depth and height taps of output coordinates `oz`, `oy`.
+        // Their product, the row's in-bounds filter planes, is the dominant
+        // per-row cost factor: rows near the image borders intersect fewer
+        // filter planes and are proportionally cheaper.
+        let fd_taps = move |oz: usize| taps(oz, depth.fd, depth.pd, depth.id);
+        let fh_taps = move |oy: usize| taps(oy, s.fh, s.ph, s.ih);
 
         // GEMM-remainder geometry: patch rows are full-K im2col gathers
         // (zeros under padding) against the plan-time packed filter. The
         // patch buffer is checked out once per row range, not per row.
-        let gemm_k = s.fh * s.fw * s.ic;
+        let gemm_k = depth.fd * s.fh * s.fw * s.ic;
         let gemm_patch_max = self
             .plan
             .segments
@@ -365,47 +403,47 @@ impl PreparedConv {
             .unwrap_or(0)
             * gemm_k;
 
-        let parts = par::SliceParts::new(y.as_mut_slice(), row_elems);
+        let parts = par::SliceParts::new(ys, row_elems);
         // Per-row cost model in abstract vector-op units, aware of the
         // dispatched lane width: the outer-product FMA work vectorises along
         // OC at `vw` lanes while the im2col gather stays per-channel scalar
         // loads, so widening the ISA shrinks the FMA term relative to the
         // gather term and shifts how much border rows (fewer in-bounds
-        // filter rows) are discounted. The fixed term covers the
+        // filter planes) are discounted. The fixed term covers the
         // output transform + epilogue, which run once per row regardless of
-        // how many filter rows are in bounds.
+        // how many filter planes are in bounds.
         let vw = simd::kernels().lane_width;
-        let fma_per_fh = (s.ic * s.oc).div_ceil(vw) as u64;
-        let gather_per_fh = s.ic as u64;
+        let per_plane = (s.ic * s.oc).div_ceil(vw) as u64 + s.ic as u64;
         let fixed = s.oc.div_ceil(vw) as u64 + 1;
-        let row_weight = move |row: usize| in_bounds_fh(row % oh) as u64 * (fma_per_fh + gather_per_fh) + fixed;
+        let row_weight =
+            move |row: usize| (fd_taps(row / oh % od).len() * fh_taps(row % oh).len()) as u64 * per_plane + fixed;
         // Cost-aware row ranges (~equal total cost per piece) instead of one
         // task per row: boundary rows stop dragging the tail, and the
         // scratch borrow is amortised over the whole range.
-        par::global().run_chunked_weighted(s.n * oh, &row_weight, &|range| {
-            SCRATCH.with(|gamma_scratch| {
-                let mut gamma_scratch = gamma_scratch.borrow_mut();
+        par::global().run_chunked_weighted(s.n * od * oh, &row_weight, &|range| {
+            SCRATCH.with(|cell| {
+                // Kernel scratch and the row-plan buffer (grown to the
+                // plan's filter-plane count once, then reused).
+                let (gamma_scratch, plan_rows) = &mut *cell.borrow_mut();
                 let mut gemm_patch = (gemm_patch_max > 0).then(|| scratch.checkout(gemm_patch_max));
                 for row in range {
                     let out_row = parts.take(row);
-                    let b = row / oh;
-                    let oy = row % oh;
-                    // Row plan: one entry per in-bounds filter row (plane =
-                    // fh); rows falling outside the image are absent
-                    // (implicit zero padding). Stack-allocated: FH ≤ 16
-                    // always holds for the 2-D path.
-                    let mut rows_buf = [(0usize, 0usize); 16];
-                    let mut row_count = 0usize;
-                    for fh in 0..s.fh {
-                        let iy = oy as isize + fh as isize - s.ph as isize;
-                        if iy >= 0 && (iy as usize) < s.ih {
-                            rows_buf[row_count] = (iy as usize * s.iw * s.ic, fh);
-                            row_count += 1;
+                    let (slice, oy) = (row / oh, row % oh);
+                    let (b, oz) = (slice / od, slice % od);
+                    // Row plan: one entry per in-bounds filter plane
+                    // `fd·FH + fh`; planes falling outside the input are
+                    // absent (implicit zero padding).
+                    plan_rows.clear();
+                    for fd in fd_taps(oz) {
+                        let iz = oz + fd - depth.pd;
+                        for fh in fh_taps(oy) {
+                            let iy = oy + fh - s.ph;
+                            plan_rows.push(((iz * s.ih + iy) * s.iw * s.ic, fd * s.fh + fh));
                         }
                     }
                     let job = RowJob {
                         x: &xs[b * img_elems..(b + 1) * img_elems],
-                        rows: &rows_buf[..row_count],
+                        rows: plan_rows,
                         iw: s.iw,
                         ic: s.ic,
                         pw: s.pw,
@@ -416,14 +454,14 @@ impl PreparedConv {
                         match k_idx {
                             Some(k) => {
                                 let (spec, kernel, tw) = &self.kernels[*k];
-                                kernel.run_segment(&job, tw, seg.start, seg.len / spec.n, out_row, &mut gamma_scratch);
+                                kernel.run_segment(&job, tw, seg.start, seg.len / spec.n, out_row, gamma_scratch);
                             }
                             None => {
                                 let pb = self.w_packed.as_ref().expect("packed remainder filter was built");
                                 let _g = obs::span(obs::Stage::GemmRemainder);
                                 obs::add(obs::Counter::GemmRemainderCols, seg.len as u64);
                                 // Gather the seg.len × K patch (zeros under
-                                // padding; K ordered (fh, fw, ic) to match
+                                // padding; K ordered (plane, fw, ic) to match
                                 // the HWIO flattening) and run it against
                                 // the plan-time packed filter.
                                 let buf = gemm_patch.as_mut().expect("gemm patch buffer was checked out");
@@ -457,7 +495,6 @@ impl PreparedConv {
                 }
             });
         });
-        Ok(y)
     }
 }
 
@@ -588,6 +625,13 @@ mod tests {
             &ConvOptions::default(),
             104,
             2e-4,
+        );
+        // FH is unbounded: more filter rows than any fixed row-plan buffer.
+        check_conv(
+            &ConvShape::unit(1, 20, 12, 2, 2, 17, 3, 0, 1),
+            &ConvOptions::default(),
+            106,
+            1e-4,
         );
     }
 

@@ -5,6 +5,7 @@
 //! natural signal-processing API (`[batch, width, channels]`).
 
 use crate::conv::{conv2d, ConvOptions};
+use crate::error::ConvError;
 use iwino_tensor::{ConvShape, Tensor4};
 
 /// Unit-stride 1-D convolution.
@@ -12,19 +13,15 @@ use iwino_tensor::{ConvShape, Tensor4};
 /// * `x`: input, `N×W×C` packed as a `Tensor4` of shape `[n, 1, w, c]`;
 /// * `w`: filters, `OC×R×IC` packed as `[oc, 1, r, ic]`;
 /// * `pad`: zero padding on both ends of the width axis.
-pub fn conv1d(x: &Tensor4<f32>, w: &Tensor4<f32>, pad: usize) -> Tensor4<f32> {
-    conv1d_opts(x, w, pad, &ConvOptions::default())
-}
-
-/// [`conv1d`] with explicit kernel-selection options.
-pub fn conv1d_opts(x: &Tensor4<f32>, w: &Tensor4<f32>, pad: usize, opts: &ConvOptions) -> Tensor4<f32> {
-    let [n, one_x, iw, ic] = x.dims();
-    let [oc, one_w, r, wic] = w.dims();
-    assert_eq!(one_x, 1, "conv1d input must be [n, 1, w, c]");
-    assert_eq!(one_w, 1, "conv1d filter must be [oc, 1, r, ic]");
-    assert_eq!(ic, wic, "channel mismatch");
+///
+/// Operands of any other shape return [`ConvError::ShapeMismatch`].
+pub fn conv1d(x: &Tensor4<f32>, w: &Tensor4<f32>, pad: usize, opts: &ConvOptions) -> Result<Tensor4<f32>, ConvError> {
+    let [n, _, iw, ic] = x.dims();
+    let [oc, _, r, _] = w.dims();
+    // The FH = 1 geometry these dims imply; conv2d rejects any operand
+    // that does not match it (a height other than 1, a channel mismatch).
     let shape = ConvShape::unit(n, 1, iw, ic, oc, 1, r, 0, pad);
-    conv2d(x, w, &shape, opts).unwrap()
+    conv2d(x, w, &shape, opts)
 }
 
 /// Helper: pack a flat `N×W×C` buffer into the `Tensor4` the 1-D API uses.
@@ -43,7 +40,7 @@ mod tests {
         // Single channel: plain sliding dot product.
         let x = pack_1d(1, 8, 1, (1..=8).map(|v| v as f32).collect());
         let w = Tensor4::from_vec([1, 1, 3, 1], vec![1.0, 10.0, 100.0]);
-        let y = conv1d(&x, &w, 0);
+        let y = conv1d(&x, &w, 0, &ConvOptions::default()).unwrap();
         assert_eq!(y.dims(), [1, 1, 6, 1]);
         // y_i = x_i + 10 x_{i+1} + 100 x_{i+2} (to f32 Winograd rounding).
         assert!((y.at(0, 0, 0, 0) - (1.0 + 20.0 + 300.0)).abs() < 1e-3);
@@ -57,7 +54,7 @@ mod tests {
             let x = Tensor4::<f32>::random([n, 1, iw, ic], 60 + r as u64, -1.0, 1.0);
             let w = Tensor4::<f32>::random([oc, 1, r, ic], 70 + r as u64, -1.0, 1.0);
             let pad = r / 2;
-            let got = conv1d(&x, &w, pad);
+            let got = conv1d(&x, &w, pad, &ConvOptions::default()).unwrap();
             let shape = ConvShape::unit(n, 1, iw, ic, oc, 1, r, 0, pad);
             let want = direct_conv(&x, &w, &shape);
             let e = max_mixed_error(&got, &want);
@@ -70,8 +67,26 @@ mod tests {
     fn padding_grows_output() {
         let x = Tensor4::<f32>::random([1, 1, 10, 2], 80, -1.0, 1.0);
         let w = Tensor4::<f32>::random([3, 1, 3, 2], 81, -1.0, 1.0);
-        assert_eq!(conv1d(&x, &w, 0).dims(), [1, 1, 8, 3]);
-        assert_eq!(conv1d(&x, &w, 1).dims(), [1, 1, 10, 3]);
-        assert_eq!(conv1d(&x, &w, 2).dims(), [1, 1, 12, 3]);
+        assert_eq!(conv1d(&x, &w, 0, &ConvOptions::default()).unwrap().dims(), [1, 1, 8, 3]);
+        assert_eq!(
+            conv1d(&x, &w, 1, &ConvOptions::default()).unwrap().dims(),
+            [1, 1, 10, 3]
+        );
+        assert_eq!(
+            conv1d(&x, &w, 2, &ConvOptions::default()).unwrap().dims(),
+            [1, 1, 12, 3]
+        );
+    }
+
+    #[test]
+    fn operands_that_are_not_1d_are_errors() {
+        let x = Tensor4::<f32>::zeros([1, 2, 10, 2]);
+        let w = Tensor4::<f32>::zeros([3, 1, 3, 2]);
+        let e = conv1d(&x, &w, 0, &ConvOptions::default()).unwrap_err();
+        assert!(matches!(e, ConvError::ShapeMismatch { what: "input", .. }), "{e}");
+        let x = Tensor4::<f32>::zeros([1, 1, 10, 2]);
+        let w = Tensor4::<f32>::zeros([3, 1, 3, 4]);
+        let e = conv1d(&x, &w, 0, &ConvOptions::default()).unwrap_err();
+        assert!(matches!(e, ConvError::ShapeMismatch { what: "filter", .. }), "{e}");
     }
 }

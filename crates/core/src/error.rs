@@ -2,10 +2,10 @@
 //!
 //! A malformed request must not abort the process once convolutions are
 //! dispatched from a serving engine that handles many independent
-//! requests. Every planning/execution path — [`crate::conv2d`],
-//! [`crate::deconv2d`], [`crate::PreparedConv`] and `iwino-engine` —
-//! reports [`ConvError`] instead of panicking; callers that want a panic
-//! `unwrap` it themselves.
+//! requests. Every planning/execution path — [`crate::conv1d()`],
+//! [`crate::conv2d`], [`crate::conv3d`], [`crate::deconv2d`],
+//! [`crate::PreparedConv`] and `iwino-engine` — reports [`ConvError`]
+//! instead of panicking; callers that want a panic `unwrap` it themselves.
 
 use iwino_tensor::ConvShape;
 use std::fmt;
@@ -17,8 +17,9 @@ pub enum ConvError {
     ShapeMismatch {
         /// Which operand was wrong (`"input"`, `"filter"`, `"dy"` …).
         what: &'static str,
-        got: [usize; 4],
-        want: [usize; 4],
+        /// Dims of any rank (4 for 2-D operands, 5 for 3-D).
+        got: Vec<usize>,
+        want: Vec<usize>,
     },
     /// The algorithm only handles unit strides (§4: Im2col-Winograd is a
     /// unit-stride algorithm) but the shape is strided.
@@ -88,11 +89,15 @@ impl fmt::Display for ConvError {
 impl std::error::Error for ConvError {}
 
 /// `got == want` or a [`ConvError::ShapeMismatch`] naming the operand.
-pub fn expect_dims(what: &'static str, got: [usize; 4], want: [usize; 4]) -> Result<(), ConvError> {
+pub fn expect_dims<const D: usize>(what: &'static str, got: [usize; D], want: [usize; D]) -> Result<(), ConvError> {
     if got == want {
         Ok(())
     } else {
-        Err(ConvError::ShapeMismatch { what, got, want })
+        Err(ConvError::ShapeMismatch {
+            what,
+            got: got.to_vec(),
+            want: want.to_vec(),
+        })
     }
 }
 

@@ -13,9 +13,14 @@
 //! is integrated into filter-transformation"): [`TransformedFilter::deconv`]
 //! reads `W[oc, FH−1−fh, FW−1−fw, ic]` directly, so no rotated copy of the
 //! filter is ever materialised.
+//!
+//! The ND extension (§4.2) needs no transform of its own: a 3-D filter
+//! `OC×FD×FH×FW×IC` has the memory layout of the 2-D filter
+//! `OC×(FD·FH)×FW×IC`, so the same transforms yield one plane per
+//! `(fd, fh)` pair, plane index `fd·FH + fh`.
 
 use iwino_parallel as par;
-use iwino_tensor::{Tensor4, Tensor5};
+use iwino_tensor::Tensor4;
 use iwino_transforms::WinogradTransform;
 
 /// Winograd-domain filter bank: `data[((fh·α + s)·IC + ic)·OC + oc]`.
@@ -110,47 +115,6 @@ impl TransformedFilter {
         }
     }
 
-    /// 3-D forward transform of `w` (`OC×FD×FH×FW×IC`): one plane per
-    /// `(fd, fh)` pair, plane index `fd·FH + fh`. Stage 2 of the algorithm
-    /// is untouched — this is the "expanding Stage1 Im2col to ND" of §4.2.
-    pub fn forward3d(w: &Tensor5<f32>, t: &WinogradTransform) -> Self {
-        let [oc, fd, fh, fw, ic] = w.dims();
-        assert_eq!(fw, t.r, "filter width must equal the kernel's r");
-        let alpha = t.alpha;
-        let r = t.r;
-        let g = t.g.to_f64();
-        let ws = w.as_slice();
-        let planes = fd * fh;
-        let mut data = vec![0.0f32; planes * alpha * ic * oc];
-        for plane in 0..planes {
-            let (d, h) = (plane / fh, plane % fh);
-            for s in 0..alpha {
-                let g_row = &g[s * r..(s + 1) * r];
-                let dst_plane = &mut data[(plane * alpha + s) * ic * oc..(plane * alpha + s + 1) * ic * oc];
-                for o in 0..oc {
-                    for (x, &gc) in g_row.iter().enumerate().take(fw) {
-                        let coeff = gc as f32;
-                        if coeff == 0.0 {
-                            continue;
-                        }
-                        let base = (((o * fd + d) * fh + h) * fw + x) * ic;
-                        let src = &ws[base..base + ic];
-                        for (i, &v) in src.iter().enumerate() {
-                            dst_plane[i * oc + o] += coeff * v;
-                        }
-                    }
-                }
-            }
-        }
-        TransformedFilter {
-            fh: planes,
-            alpha,
-            ic,
-            oc,
-            data,
-        }
-    }
-
     /// The contiguous `oc` row for `(plane, state, contraction channel)`.
     /// For 2-D filters the plane is `fh`; for 3-D it is `fd·FH + fh`.
     #[inline]
@@ -176,8 +140,8 @@ impl TransformedFilter {
     }
 }
 
-/// Untransformed filter in the `FH×FW×IC×OC` layout, used by the direct
-/// (GEMM-style) boundary segments. For deconvolution the rotation/swap is
+/// Untransformed filter in the `FH×FW×IC×OC` layout, which the GEMM
+/// boundary remainder packs at plan time. For deconvolution the rotation/swap is
 /// fused here too: `rotate = true` yields `FH×FW×OC×IC` reading the mirrored
 /// taps.
 pub fn filter_hwio(w: &Tensor4<f32>, rotate: bool) -> Tensor4<f32> {
@@ -193,27 +157,6 @@ pub fn filter_hwio(w: &Tensor4<f32>, rotate: bool) -> Tensor4<f32> {
                         *out.at_mut(fh - 1 - h, fw - 1 - x, o, i) = v;
                     } else {
                         *out.at_mut(h, x, i, o) = v;
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// 3-D filter in `planes×FW×IC×OC` layout (plane = `fd·FH + fh`) for the
-/// direct boundary segments of `conv3d`.
-pub fn filter_hwio3d(w: &Tensor5<f32>) -> Vec<f32> {
-    let [oc, fd, fh, fw, ic] = w.dims();
-    let planes = fd * fh;
-    let mut out = vec![0.0f32; planes * fw * ic * oc];
-    for o in 0..oc {
-        for d in 0..fd {
-            for h in 0..fh {
-                for x in 0..fw {
-                    for i in 0..ic {
-                        let plane = d * fh + h;
-                        out[((plane * fw + x) * ic + i) * oc + o] = w.at(o, d, h, x, i);
                     }
                 }
             }

@@ -19,16 +19,20 @@
 //!   the defining trick of Im2col-Winograd — so a single output transform
 //!   per tile finishes the block (Algorithm 1's `transformOutput`).
 //!
-//! Variants:
+//! Variants share one block loop and differ in one choice each:
 //!
-//! * [`Variant::Ruse`] — §5.4 input-tile overlap reuse: adjacent tiles of
-//!   `F(n, r)` share `r − 1` input items; the ruse kernel gathers one
-//!   contiguous *strip* of `(tiles−1)·n + α` positions per `(fh, ic-block)`
-//!   instead of `tiles·α` positions, cutting gather traffic by the factor
-//!   the paper derives (`α → α − (r−1)·(tiles−1)/tiles` per tile).
-//! * [`Variant::C64`] — §5.6 enlarged cache block: `BN` doubled to 64 for
-//!   `α = 16`, raising arithmetic intensity from `256/(α+r)` to
-//!   `512/(α+2r)`.
+//! * [`Variant::Ruse`] — §5.4 input-tile overlap reuse, which changes only
+//!   the gather: adjacent tiles of `F(n, r)` share `r − 1` input items, so
+//!   the ruse kernel gathers one contiguous *strip* of `(tiles−1)·n + α`
+//!   positions per `(plane, ic-block)` instead of `α` positions per tile,
+//!   cutting gather traffic by the factor the paper derives
+//!   (`α → α − (r−1)·(tiles−1)/tiles` per tile).
+//! * [`Variant::C64`] — §5.6 enlarged cache block, which changes only the
+//!   block geometry: `BN` doubled to 64 for `α = 16`, raising arithmetic
+//!   intensity from `256/(α+r)` to `512/(α+2r)`.
+//!
+//! Neither choice touches the per-element summation order, so all three
+//! variants produce bit-identical output.
 
 use crate::filter::TransformedFilter;
 use crate::plan::BK;
@@ -77,9 +81,9 @@ pub struct GammaKernel {
 /// The job is expressed as a *row plan*: the list of input rows that
 /// contribute to this output row, each paired with the transformed-filter
 /// plane that multiplies it. For 2-D convolution the plan holds one entry
-/// per in-bounds `fh` (plane = `fh`); for the ND extension (§4.2) it holds
-/// one entry per in-bounds `(f_outer…, fh)` combination — Stage 2 of the
-/// algorithm is completely unchanged, exactly as the paper claims.
+/// per in-bounds `fh` (plane = `fh`); for the 3-D extension (§4.2) it holds
+/// one entry per in-bounds `(fd, fh)` pair (plane = `fd·FH + fh`) — Stage 2
+/// of the algorithm is completely unchanged, exactly as the paper claims.
 pub struct RowJob<'a> {
     /// The input image (any outer layout; rows are addressed by offset).
     pub x: &'a [f32],
@@ -217,6 +221,11 @@ impl GammaKernel {
         // load + predictable branches in the loops below.
         let rec = obs::enabled();
 
+        // Ruse (§5.4) gathers one strip covering every tile of a block;
+        // the other variants gather α positions per tile. That is the only
+        // place the variants differ.
+        let strip = self.variant == Variant::Ruse;
+
         // Disjoint borrows of the scratch fields for the loops below.
         let Scratch {
             gather,
@@ -232,28 +241,51 @@ impl GammaKernel {
             let ocb = bn.min(job.oc - oc0);
             for t0 in (0..tiles).step_by(bm) {
                 let tb = bm.min(tiles - t0);
+                let px0 = (seg_start + t0 * n) as isize - job.pw as isize;
+                let gather_len = if strip { (tb - 1) * n + alpha } else { alpha };
+                gather.resize(gather_len * BK, 0.0);
                 let acc = &mut acc_buf[..tb * alpha * bn];
                 acc.fill(0.0);
+                // Stage clock, read only while recording.
+                let mut lap = rec.then(Instant::now);
+                let (mut it_ns, mut op_ns) = (0u64, 0u64);
                 for &(x_off, plane) in job.rows {
                     let x_row = &job.x[x_off..x_off + job.iw * job.ic];
                     for ic0 in (0..job.ic).step_by(BK) {
                         let icb = BK.min(job.ic - ic0);
-                        let s = GatherTx {
-                            gather: &mut *gather,
-                            tx: &mut *tx,
-                        };
-                        match self.variant {
-                            Variant::Ruse => self.block_ruse(
-                                job, tw, x_row, seg_start, t0, tb, plane, ic0, icb, oc0, ocb, acc, s, rec,
-                            ),
-                            _ => self.block_standard(
-                                job, tw, x_row, seg_start, t0, tb, plane, ic0, icb, oc0, ocb, acc, s, rec,
-                            ),
+                        if strip {
+                            gather_positions(x_row, job.iw, job.ic, ic0, icb, px0, gather_len, gather);
+                        }
+                        // Tiles run in pairs: both tiles' transformed inputs
+                        // are staged in `tx` (`2 × α × BK`), then one paired
+                        // FMA pass streams the filter panel once for both
+                        // (see `fma_tile2`). An odd trailing tile takes the
+                        // single-tile path.
+                        let mut t = 0;
+                        while t < tb {
+                            let pair = (tb - t).min(2);
+                            for k in 0..pair {
+                                let from: &[f32] = if strip {
+                                    &gather[(t + k) * n * BK..]
+                                } else {
+                                    let px = px0 + ((t + k) * n) as isize;
+                                    gather_positions(x_row, job.iw, job.ic, ic0, icb, px, alpha, gather);
+                                    &gather[..]
+                                };
+                                self.dt.apply_f32_strided(from, BK, &mut tx[k * alpha * BK..], BK, icb);
+                            }
+                            it_ns += lap_ns(&mut lap);
+                            if pair == 2 {
+                                fma_tile2(acc, t, alpha, bn, tx, icb, tw, plane, ic0, oc0, ocb);
+                            } else {
+                                fma_tile(acc, t, alpha, bn, tx, icb, tw, plane, ic0, oc0, ocb);
+                            }
+                            op_ns += lap_ns(&mut lap);
+                            t += pair;
                         }
                     }
                 }
                 // Output transform: ytile(n×BN) = Aᵀ(n×α) · acc_t(α×BN).
-                let ot_start = rec.then(Instant::now);
                 for t in 0..tb {
                     let acc_t = &acc_buf[t * alpha * bn..(t + 1) * alpha * bn];
                     self.at.apply_f32_strided(acc_t, bn, ytile, bn, ocb);
@@ -263,12 +295,22 @@ impl GammaKernel {
                         dst.copy_from_slice(&ytile[j * bn..j * bn + ocb]);
                     }
                 }
-                if let Some(t0i) = ot_start {
-                    obs::add_stage_ns(obs::Stage::OutputTransform, t0i.elapsed().as_nanos() as u64);
+                if rec {
+                    // Stage times flush once per block to keep atomic
+                    // traffic off the per-tile path.
+                    obs::add_stage_ns(obs::Stage::InputTransform, it_ns);
+                    obs::add_stage_ns(obs::Stage::OuterProduct, op_ns);
+                    obs::add_stage_ns(obs::Stage::OutputTransform, lap_ns(&mut lap));
                     obs::add(obs::Counter::Tiles, tb as u64);
-                    if self.variant == Variant::Ruse {
+                    if strip {
                         obs::add(obs::Counter::RuseTiles, tb as u64);
                     }
+                    // Gathered input items per (plane, channel) — one shared
+                    // strip for ruse instead of tb·α positions, so the §5.4
+                    // saving shows up here — plus the filter panel touched.
+                    let gathered = if strip { gather_len } else { tb * alpha };
+                    let loaded = job.rows.len() * job.ic * (gathered + alpha * ocb) * 4;
+                    obs::add(obs::Counter::BytesLoaded, loaded as u64);
                     obs::add(obs::Counter::BytesStored, (tb * n * ocb * 4) as u64);
                 }
             }
@@ -276,186 +318,14 @@ impl GammaKernel {
     }
 }
 
-/// Disjoint mutable views of the gather/transform scratch, reborrowed per
-/// inner block.
-struct GatherTx<'a> {
-    gather: &'a mut Vec<f32>,
-    tx: &'a mut Vec<f32>,
-}
-
-impl GammaKernel {
-    /// Standard block: gather each tile's α positions, transform, FMA.
-    #[allow(clippy::too_many_arguments)]
-    fn block_standard(
-        &self,
-        job: &RowJob<'_>,
-        tw: &TransformedFilter,
-        x_row: &[f32],
-        seg_start: usize,
-        t0: usize,
-        tb: usize,
-        plane: usize,
-        ic0: usize,
-        icb: usize,
-        oc0: usize,
-        ocb: usize,
-        acc: &mut [f32],
-        s: GatherTx<'_>,
-        rec: bool,
-    ) {
-        let alpha = self.alpha;
-        let bn = self.bn;
-        s.gather.resize(alpha * BK, 0.0);
-        // Tiles run in pairs: both tiles' gathered+transformed inputs are
-        // staged in `s.tx` (`2 × α × BK`), then one paired FMA pass streams
-        // the filter panel once for both (see `fma_tile2`). An odd trailing
-        // tile falls back to the single-tile path.
-        if !rec {
-            let mut t = 0;
-            while t + 2 <= tb {
-                for k in 0..2 {
-                    let px0 = (seg_start + (t0 + t + k) * self.n) as isize - job.pw as isize;
-                    gather_positions(x_row, job.iw, job.ic, ic0, icb, px0, alpha, s.gather);
-                    self.dt
-                        .apply_f32_strided(s.gather, BK, &mut s.tx[k * alpha * BK..], BK, icb);
-                }
-                fma_tile2(acc, t, alpha, bn, s.tx, icb, tw, plane, ic0, oc0, ocb);
-                t += 2;
-            }
-            if t < tb {
-                let px0 = (seg_start + (t0 + t) * self.n) as isize - job.pw as isize;
-                gather_positions(x_row, job.iw, job.ic, ic0, icb, px0, alpha, s.gather);
-                self.dt.apply_f32_strided(s.gather, BK, s.tx, BK, icb);
-                fma_tile(acc, t, alpha, bn, s.tx, icb, tw, plane, ic0, oc0, ocb);
-            }
-            return;
-        }
-        // Recording path: attribute gather+Dᵀ to input_transform and the FMA
-        // stage to outer_product, flushing once per block to keep atomic
-        // traffic off the per-tile path.
-        let mut it_ns = 0u64;
-        let mut op_ns = 0u64;
-        let mut t = 0;
-        while t + 2 <= tb {
-            let start = Instant::now();
-            for k in 0..2 {
-                let px0 = (seg_start + (t0 + t + k) * self.n) as isize - job.pw as isize;
-                gather_positions(x_row, job.iw, job.ic, ic0, icb, px0, alpha, s.gather);
-                self.dt
-                    .apply_f32_strided(s.gather, BK, &mut s.tx[k * alpha * BK..], BK, icb);
-            }
-            let mid = Instant::now();
-            fma_tile2(acc, t, alpha, bn, s.tx, icb, tw, plane, ic0, oc0, ocb);
-            it_ns += (mid - start).as_nanos() as u64;
-            op_ns += mid.elapsed().as_nanos() as u64;
-            t += 2;
-        }
-        if t < tb {
-            let px0 = (seg_start + (t0 + t) * self.n) as isize - job.pw as isize;
-            let start = Instant::now();
-            gather_positions(x_row, job.iw, job.ic, ic0, icb, px0, alpha, s.gather);
-            self.dt.apply_f32_strided(s.gather, BK, s.tx, BK, icb);
-            let mid = Instant::now();
-            fma_tile(acc, t, alpha, bn, s.tx, icb, tw, plane, ic0, oc0, ocb);
-            it_ns += (mid - start).as_nanos() as u64;
-            op_ns += mid.elapsed().as_nanos() as u64;
-        }
-        obs::add_stage_ns(obs::Stage::InputTransform, it_ns);
-        obs::add_stage_ns(obs::Stage::OuterProduct, op_ns);
-        // Gathered input items (tb tiles × α positions, no overlap sharing)
-        // plus the transformed-filter panel touched by this block.
-        obs::add(
-            obs::Counter::BytesLoaded,
-            ((tb * alpha * icb + alpha * icb * ocb) * 4) as u64,
-        );
-    }
-
-    /// Ruse block (§5.4): gather one strip covering all `tb` tiles once,
-    /// then transform each tile from its offset inside the strip. Adjacent
-    /// tiles overlap by `r − 1` positions, which are now loaded once.
-    #[allow(clippy::too_many_arguments)]
-    fn block_ruse(
-        &self,
-        job: &RowJob<'_>,
-        tw: &TransformedFilter,
-        x_row: &[f32],
-        seg_start: usize,
-        t0: usize,
-        tb: usize,
-        plane: usize,
-        ic0: usize,
-        icb: usize,
-        oc0: usize,
-        ocb: usize,
-        acc: &mut [f32],
-        s: GatherTx<'_>,
-        rec: bool,
-    ) {
-        let alpha = self.alpha;
-        let bn = self.bn;
-        let strip_len = (tb - 1) * self.n + alpha;
-        s.gather.resize(strip_len * BK, 0.0);
-        let px0 = (seg_start + t0 * self.n) as isize - job.pw as isize;
-        // Tiles pair up exactly as in the standard block (shared-strip
-        // gather, then paired Dᵀ + one panel pass for two tiles).
-        if !rec {
-            gather_positions(x_row, job.iw, job.ic, ic0, icb, px0, strip_len, s.gather);
-            let mut t = 0;
-            while t + 2 <= tb {
-                for k in 0..2 {
-                    let from = &s.gather[(t + k) * self.n * BK..];
-                    self.dt
-                        .apply_f32_strided(from, BK, &mut s.tx[k * alpha * BK..], BK, icb);
-                }
-                fma_tile2(acc, t, alpha, bn, s.tx, icb, tw, plane, ic0, oc0, ocb);
-                t += 2;
-            }
-            if t < tb {
-                let from = &s.gather[t * self.n * BK..];
-                self.dt.apply_f32_strided(from, BK, s.tx, BK, icb);
-                fma_tile(acc, t, alpha, bn, s.tx, icb, tw, plane, ic0, oc0, ocb);
-            }
-            return;
-        }
-        // Recording path: the shared strip gather counts toward
-        // input_transform, like the per-tile gathers of the standard block.
-        let mut it_ns = 0u64;
-        let mut op_ns = 0u64;
-        let start = Instant::now();
-        gather_positions(x_row, job.iw, job.ic, ic0, icb, px0, strip_len, s.gather);
-        it_ns += start.elapsed().as_nanos() as u64;
-        let mut t = 0;
-        while t + 2 <= tb {
-            let start = Instant::now();
-            for k in 0..2 {
-                let from = &s.gather[(t + k) * self.n * BK..];
-                self.dt
-                    .apply_f32_strided(from, BK, &mut s.tx[k * alpha * BK..], BK, icb);
-            }
-            let mid = Instant::now();
-            fma_tile2(acc, t, alpha, bn, s.tx, icb, tw, plane, ic0, oc0, ocb);
-            it_ns += (mid - start).as_nanos() as u64;
-            op_ns += mid.elapsed().as_nanos() as u64;
-            t += 2;
-        }
-        if t < tb {
-            let from = &s.gather[t * self.n * BK..];
-            let start = Instant::now();
-            self.dt.apply_f32_strided(from, BK, s.tx, BK, icb);
-            let mid = Instant::now();
-            fma_tile(acc, t, alpha, bn, s.tx, icb, tw, plane, ic0, oc0, ocb);
-            it_ns += (mid - start).as_nanos() as u64;
-            op_ns += mid.elapsed().as_nanos() as u64;
-        }
-        obs::add_stage_ns(obs::Stage::InputTransform, it_ns);
-        obs::add_stage_ns(obs::Stage::OuterProduct, op_ns);
-        // One shared strip instead of tb·α positions — the §5.4 reuse saving
-        // shows up directly in this counter.
-        obs::add(
-            obs::Counter::BytesLoaded,
-            ((strip_len * icb + alpha * icb * ocb) * 4) as u64,
-        );
-    }
+/// Nanoseconds since `*lap`, restarting it there; 0 when not recording.
+#[inline(always)]
+fn lap_ns(lap: &mut Option<Instant>) -> u64 {
+    let Some(t) = lap else { return 0 };
+    let now = Instant::now();
+    let ns = (now - *t).as_nanos() as u64;
+    *t = now;
+    ns
 }
 
 /// Gather `count` consecutive width positions starting at (possibly
@@ -567,46 +437,6 @@ fn fma_tile2(
     }
 }
 
-/// Direct (GEMM-style) computation of a row segment, used for the boundary
-/// remainder (§5.5) and as the in-crate fallback. `w_hwio` is the
-/// `planes×FW×IC×OC` filter from [`crate::filter::filter_hwio`] (planes =
-/// `FH` in 2-D, `FD·FH` in 3-D); the inner FMA runs along the contiguous
-/// `oc` axis. `fw` is the filter width.
-pub fn direct_row_segment(
-    job: &RowJob<'_>,
-    w_hwio: &[f32],
-    fw: usize,
-    seg_start: usize,
-    len: usize,
-    out_row: &mut [f32],
-) {
-    let (iw, ic, oc) = (job.iw, job.ic, job.oc);
-    for ox in seg_start..seg_start + len {
-        let out_px = &mut out_row[ox * oc..(ox + 1) * oc];
-        out_px.fill(0.0);
-        for &(x_off, plane) in job.rows {
-            let x_row = &job.x[x_off..x_off + iw * ic];
-            for fx in 0..fw {
-                let px = ox as isize + fx as isize - job.pw as isize;
-                if px < 0 || px >= iw as isize {
-                    continue;
-                }
-                let x_px = &x_row[px as usize * ic..(px as usize + 1) * ic];
-                let w_base = (plane * fw + fx) * ic * oc;
-                for (i, &xv) in x_px.iter().enumerate() {
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    let wrow = &w_hwio[w_base + i * oc..w_base + (i + 1) * oc];
-                    for (a, &w) in out_px.iter_mut().zip(wrow) {
-                        *a += xv * w;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,7 +534,7 @@ mod tests {
         // concurrent caller flooding the cache with other specs must never
         // invalidate them.)
         let held = a;
-        let (job_x, w, w_hwio) = eviction_fixture();
+        let (job_x, w) = eviction_fixture();
         let rows = [(0usize, 0usize), (12 * 3, 1), (2 * 12 * 3, 2)];
         let job = RowJob {
             x: &job_x,
@@ -746,10 +576,13 @@ mod tests {
         fresh.run_segment(&job, &tw, 0, 2, &mut fresh_out, &mut scratch);
         assert_eq!(before, fresh_out, "refetched kernel disagrees with held one");
 
-        // And both match the direct reference within fp tolerance.
-        let mut reference = vec![0.0f32; 12 * 4];
-        direct_row_segment(&job, &w_hwio, 3, 0, 12, &mut reference);
-        for (i, (&got, &want)) in before.iter().zip(&reference).enumerate() {
+        // And both match the direct reference within fp tolerance: the job
+        // is the single output row of a valid 3×3 convolution (pad 1 along
+        // the width) over the 3-row slab.
+        let slab = iwino_tensor::ConvShape::unit(1, 3, 12, 3, 4, 3, 3, 0, 1);
+        let x = iwino_tensor::Tensor4::from_vec(slab.x_dims(), job_x.clone());
+        let reference = iwino_baselines::direct_conv(&x, &w, &slab);
+        for (i, (&got, &want)) in before.iter().zip(reference.as_slice()).enumerate() {
             assert!(
                 (got - want).abs() <= 1e-4 * want.abs().max(1.0),
                 "output {i}: {got} vs direct {want}"
@@ -758,9 +591,8 @@ mod tests {
     }
 
     /// Deterministic Γ8(6,3) single-row workload: a 3-row image slab
-    /// (`IW = 12, IC = 3`), an `OC = 4` filter in OHWI, and the same filter
-    /// in the HWIO layout `direct_row_segment` expects.
-    fn eviction_fixture() -> (Vec<f32>, iwino_tensor::Tensor4<f32>, Vec<f32>) {
+    /// (`IW = 12, IC = 3`) and an `OC = 4` filter in OHWI.
+    fn eviction_fixture() -> (Vec<f32>, iwino_tensor::Tensor4<f32>) {
         let (iw, ic, oc, fh, fw) = (12usize, 3usize, 4usize, 3usize, 3usize);
         let x: Vec<f32> = (0..3 * iw * ic)
             .map(|i| ((i * 37 + 11) % 23) as f32 * 0.25 - 2.0)
@@ -769,16 +601,6 @@ mod tests {
         for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
             *v = ((i * 29 + 5) % 19) as f32 * 0.125 - 1.0;
         }
-        let mut w_hwio = vec![0.0f32; fh * fw * ic * oc];
-        for o in 0..oc {
-            for h in 0..fh {
-                for fx in 0..fw {
-                    for i in 0..ic {
-                        w_hwio[((h * fw + fx) * ic + i) * oc + o] = w.at(o, h, fx, i);
-                    }
-                }
-            }
-        }
-        (x, w, w_hwio)
+        (x, w)
     }
 }

@@ -28,9 +28,12 @@
 //! * [`PreparedConv`] — the same fused path split into plan + filter
 //!   transform once, then execute many times with an optional fused
 //!   epilogue (bias / activation);
+//! * [`conv1d()`] and [`conv3d`] — the same fused path at rank 1 (the
+//!   `FH = 1` case) and rank 3 (§4.2: a depth axis in the row plan, Stage 2
+//!   unchanged); every entry point returns [`ConvError`] on bad operands;
 //! * [`plan`] — the §5.5 boundary treatment: `OW` is split into segments,
-//!   each covered exactly by a kernel, fastest kernel first, GEMM-style
-//!   direct convolution for the remainder (Figure 7);
+//!   each covered exactly by a kernel, fastest kernel first, and a GEMM
+//!   against the plan-time packed filter for the remainder (Figure 7);
 //! * [`kernel`] — the cache-blocked `Γα(n, r)` row kernel with the paper's
 //!   `BN×BM×BK` blocking and the `ruse`/`c64` variants (§5.4, §5.6);
 //! * [`filter`] — fused filter transforms (forward, and rotated for deconv).
@@ -64,11 +67,11 @@ pub mod precision;
 pub mod workspace;
 
 pub use conv::{auto_options, conv2d, deconv2d, ConvOptions, Epilogue, PreparedConv};
-pub use conv1d::{conv1d, conv1d_opts};
+pub use conv1d::conv1d;
 pub use error::ConvError;
 pub use filter::TransformedFilter;
 pub use kernel::{GammaKernel, Variant};
-pub use nd::{conv3d, conv3d_opts};
+pub use nd::conv3d;
 pub use plan::{
     default_kernel_prefs, winograd2d_loads_per_output, GammaSpec, KernelChoice, Segment, SegmentPlan, BK, LANE,
 };

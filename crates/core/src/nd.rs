@@ -4,122 +4,47 @@
 //! Im2col to ND, while remaining Stage2 unchanged." Concretely: a 3-D
 //! convolution decomposes into `FD × FH` 1-D convolutions along the width
 //! axis, and the element-wise products accumulate in the Winograd domain
-//! over `(fd, fh, ic)` before the single per-tile output transform. The
-//! same [`crate::kernel::GammaKernel`] executes Stage 2 — the only new code
-//! is the row plan (ND im2col index mapping) and the 3-D filter transform.
+//! over `(fd, fh, ic)` before the single per-tile output transform.
+//!
+//! This module adds no row loop of its own. A 3-D filter `OC×FD×FH×FW×IC` is
+//! laid out like the 2-D filter `OC×(FD·FH)×FW×IC`, so the 2-D filter
+//! transforms and the plan-time packed GEMM remainder serve it unchanged,
+//! and [`conv3d`] runs [`PreparedConv`]'s row pass with a depth axis: the
+//! only ND code is that row plan (the ND im2col index mapping).
 //!
 //! 2-D Winograd cannot scale here at all: `F(n×n×n, r×r×r)` would need `α³`
 //! states (4096 for α = 16).
 
-use crate::filter::{filter_hwio3d, TransformedFilter};
-use crate::kernel::{cached_kernel, direct_row_segment, GammaKernel, RowJob, Scratch};
-use crate::plan::{KernelChoice, SegmentPlan};
-use crate::ConvOptions;
-use iwino_parallel as par;
-use iwino_tensor::{Conv3dShape, Tensor5};
-use std::cell::RefCell;
-use std::sync::Arc;
+use crate::conv::{Depth, PreparedConv};
+use crate::error::{expect_dims, ConvError};
+use crate::{ConvOptions, Epilogue};
+use iwino_gemm::AllocScratch;
+use iwino_tensor::{Conv3dShape, ConvShape, Tensor4, Tensor5};
 
 /// Unit-stride 3-D convolution: `x` is `N×ID×IH×IW×IC` NDHWC, `w` is
-/// `OC×FD×FH×FW×IC`; returns `N×OD×OH×OW×OC`.
-pub fn conv3d(x: &Tensor5<f32>, w: &Tensor5<f32>, shape: &Conv3dShape) -> Tensor5<f32> {
-    conv3d_opts(x, w, shape, &ConvOptions::default())
-}
-
-/// [`conv3d`] with explicit kernel-selection options.
-pub fn conv3d_opts(x: &Tensor5<f32>, w: &Tensor5<f32>, shape: &Conv3dShape, opts: &ConvOptions) -> Tensor5<f32> {
+/// `OC×FD×FH×FW×IC`; returns `N×OD×OH×OW×OC`. Mismatched operand dims
+/// return [`ConvError::ShapeMismatch`].
+pub fn conv3d(
+    x: &Tensor5<f32>,
+    w: &Tensor5<f32>,
+    shape: &Conv3dShape,
+    opts: &ConvOptions,
+) -> Result<Tensor5<f32>, ConvError> {
     let s = *shape;
-    assert_eq!(x.dims(), s.x_dims(), "input dims mismatch");
-    assert_eq!(w.dims(), s.w_dims(), "filter dims mismatch");
-    let (od, oh, ow) = (s.od(), s.oh(), s.ow());
-
-    let plan = plan_for_3d(opts, ow, s.fw, s.oc);
-    let mut kernels: Vec<(crate::plan::GammaSpec, Arc<GammaKernel>, TransformedFilter)> = Vec::new();
-    for spec in plan.gamma_specs() {
-        let kernel = cached_kernel(spec.alpha, spec.n, spec.r, spec.variant);
-        let t = kernel.transform();
-        let tw = TransformedFilter::forward3d(w, &t);
-        kernels.push((spec, kernel, tw));
-    }
-    let needs_direct = plan.segments.iter().any(|g| g.kernel == KernelChoice::Gemm);
-    let w_direct = needs_direct.then(|| filter_hwio3d(w));
-
-    let mut y = Tensor5::<f32>::zeros(s.y_dims());
-    let xs = x.as_slice();
-    let row_elems = ow * s.oc;
-    let vol_elems = s.id * s.ih * s.iw * s.ic;
-
-    thread_local! {
-        static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-    }
-
-    let parts = par::SliceParts::new(y.as_mut_slice(), row_elems);
-    par::parallel_for(s.n * od * oh, &|row| {
-        let out_row = parts.take(row);
-        let b = row / (od * oh);
-        let oz = (row / oh) % od;
-        let oy = row % oh;
-        // ND row plan: one entry per in-bounds (fd, fh), plane = fd·FH + fh.
-        let mut rows: Vec<(usize, usize)> = Vec::with_capacity(s.fd * s.fh);
-        for fd in 0..s.fd {
-            let iz = oz as isize + fd as isize - s.pd as isize;
-            if iz < 0 || iz >= s.id as isize {
-                continue;
-            }
-            for fh in 0..s.fh {
-                let iy = oy as isize + fh as isize - s.ph as isize;
-                if iy < 0 || iy >= s.ih as isize {
-                    continue;
-                }
-                let offset = (iz as usize * s.ih + iy as usize) * s.iw * s.ic;
-                rows.push((offset, fd * s.fh + fh));
-            }
-        }
-        let job = RowJob {
-            x: &xs[b * vol_elems..(b + 1) * vol_elems],
-            rows: &rows,
-            iw: s.iw,
-            ic: s.ic,
-            pw: s.pw,
-            ow,
-            oc: s.oc,
-        };
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            for seg in &plan.segments {
-                match seg.kernel {
-                    KernelChoice::Gamma(spec) => {
-                        let (_, kernel, tw) = kernels
-                            .iter()
-                            .find(|(ks, _, _)| *ks == spec)
-                            .expect("planned kernel was built");
-                        kernel.run_segment(&job, tw, seg.start, seg.len / spec.n, out_row, &mut scratch);
-                    }
-                    KernelChoice::Gemm => {
-                        let wd = w_direct.as_ref().expect("direct filter was built");
-                        direct_row_segment(&job, wd, s.fw, seg.start, seg.len, out_row);
-                    }
-                }
-            }
-        });
-    });
-    y
-}
-
-fn plan_for_3d(opts: &ConvOptions, ow: usize, r: usize, oc: usize) -> SegmentPlan {
-    use crate::kernel::Variant;
-    let mut prefs = match &opts.force_kernels {
-        Some(k) => k.clone(),
-        None => crate::plan::default_kernel_prefs(r, opts.prefer_alpha16 || r >= 8),
+    expect_dims("input", x.dims(), s.x_dims())?;
+    expect_dims("filter", w.dims(), s.w_dims())?;
+    // The same bytes as the 2-D filter OC×(FD·FH)×FW×IC.
+    let planes = Tensor4::from_vec([s.oc, s.fd * s.fh, s.fw, s.ic], w.as_slice().to_vec());
+    let slice = ConvShape::unit(s.n, s.ih, s.iw, s.ic, s.oc, s.fh, s.fw, s.ph, s.pw);
+    let depth = Depth {
+        id: s.id,
+        fd: s.fd,
+        pd: s.pd,
     };
-    if opts.allow_c64 && oc.is_multiple_of(64) {
-        for p in &mut prefs {
-            if p.alpha == 16 && p.variant == Variant::Standard {
-                p.variant = Variant::C64;
-            }
-        }
-    }
-    SegmentPlan::build(ow, &prefs)
+    let prep = PreparedConv::build(&planes, slice, depth, opts, false);
+    let mut y = Tensor5::<f32>::zeros(s.y_dims());
+    prep.run(x.as_slice(), y.as_mut_slice(), &Epilogue::None, &AllocScratch);
+    Ok(y)
 }
 
 /// Direct 3-D convolution reference (f64 accumulators over f32 inputs).
@@ -182,7 +107,7 @@ mod tests {
         let s = Conv3dShape::cube(1, 8, 3, 4, 3);
         let x = Tensor5::<f32>::random(s.x_dims(), 1, -1.0, 1.0);
         let w = Tensor5::<f32>::random(s.w_dims(), 2, -1.0, 1.0);
-        let got = conv3d(&x, &w, &s);
+        let got = conv3d(&x, &w, &s, &ConvOptions::default()).unwrap();
         let want = direct_conv3d_f64(&x, &w, &s);
         let e = max_err(&got, &want);
         assert!(e < 5e-4, "{e}");
@@ -195,7 +120,7 @@ mod tests {
             let s = Conv3dShape::cube(1, 7, 2, 3, r);
             let x = Tensor5::<f32>::random(s.x_dims(), 10 + r as u64, -1.0, 1.0);
             let w = Tensor5::<f32>::random(s.w_dims(), 20 + r as u64, -1.0, 1.0);
-            let got = conv3d(&x, &w, &s);
+            let got = conv3d(&x, &w, &s, &ConvOptions::default()).unwrap();
             let want = direct_conv3d_f64(&x, &w, &s);
             let e = max_err(&got, &want);
             assert!(e < 5e-4, "r = {r}: {e}");
@@ -221,7 +146,7 @@ mod tests {
         };
         let x = Tensor5::<f32>::random(s.x_dims(), 31, -1.0, 1.0);
         let w = Tensor5::<f32>::random(s.w_dims(), 32, -1.0, 1.0);
-        let got = conv3d(&x, &w, &s);
+        let got = conv3d(&x, &w, &s, &ConvOptions::default()).unwrap();
         let want = direct_conv3d_f64(&x, &w, &s);
         let e = max_err(&got, &want);
         assert!(e < 5e-4, "{e}");
@@ -241,7 +166,7 @@ mod tests {
         };
         let x = Tensor5::<f32>::random(s.x_dims(), 41, -1.0, 1.0);
         let w = Tensor5::<f32>::random(s.w_dims(), 42, -1.0, 1.0);
-        let got = conv3d_opts(&x, &w, &s, &opts);
+        let got = conv3d(&x, &w, &s, &opts).unwrap();
         let want = direct_conv3d_f64(&x, &w, &s);
         let e = max_err(&got, &want);
         assert!(e < 5e-4, "{e}");
@@ -257,7 +182,7 @@ mod tests {
         let s = Conv3dShape::cube(1, 8, 3, 3, 5);
         let x = Tensor5::<f32>::random(s.x_dims(), 51, -1.0, 1.0);
         let w = Tensor5::<f32>::random(s.w_dims(), 52, -1.0, 1.0);
-        let got = conv3d_opts(&x, &w, &s, &opts);
+        let got = conv3d(&x, &w, &s, &opts).unwrap();
         let want = direct_conv3d_f64(&x, &w, &s);
         let e = max_err(&got, &want);
         assert!(e < 1e-3, "{e}");

@@ -79,9 +79,8 @@ impl ConvAlgorithm for WinogradBackend {
     }
 
     fn supports(&self, s: &ConvShape) -> bool {
-        // Unit stride (§4); the row kernel stack-allocates FH ≤ 16 filter
-        // rows; planning covers filter widths 2..=15.
-        s.is_unit_stride() && (2..=15).contains(&s.fw) && s.fh <= 16
+        // Unit stride (§4); planning covers filter widths 2..=15.
+        s.is_unit_stride() && (2..=15).contains(&s.fw)
     }
 
     fn workspace_class(&self, s: &ConvShape) -> AlgorithmClass {

@@ -2,9 +2,10 @@
 //! mirror §5.7, and autotune's measure-once pin must be stable across
 //! repeated lookups — including after its cached plan is evicted.
 
+use iwino_baselines::direct_conv_f64_ref;
 use iwino_core::Epilogue;
 use iwino_engine::{Engine, FilterId, Handle, SelectionPolicy};
-use iwino_tensor::{ConvShape, Tensor4};
+use iwino_tensor::{max_mixed_error, ConvShape, Tensor4};
 
 #[test]
 fn heuristic_picks_winograd_for_unit_stride_r2_to_9() {
@@ -102,6 +103,21 @@ fn heuristic_has_exactly_two_outcomes() {
             "{s:?} resolved to {choice}"
         );
     }
+}
+
+#[test]
+fn tall_unit_stride_filters_run_the_fused_path() {
+    // Filter height is not a Γ constraint (§4.2 only restricts the width):
+    // a 17×3 filter resolves to the fused path and matches the reference.
+    let eng = Engine::new();
+    let h = Handle::new(SelectionPolicy::Heuristic);
+    let s = ConvShape::unit(1, 20, 12, 2, 2, 17, 3, 0, 1);
+    assert_eq!(eng.resolve(&h.policy, &s).unwrap().name(), "im2col-winograd");
+    let x = Tensor4::<f32>::random(s.x_dims(), 3, -1.0, 1.0);
+    let w = Tensor4::<f32>::random(s.w_dims(), 4, -1.0, 1.0);
+    let y = eng.conv(&h, &x, &w, &s, &Epilogue::None).unwrap();
+    let e = max_mixed_error(&y, &direct_conv_f64_ref(&x, &w, &s));
+    assert!(e < 1e-4, "17×3 through the engine: error {e}");
 }
 
 #[test]

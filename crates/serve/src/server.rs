@@ -22,7 +22,8 @@
 
 use crate::error::ServeError;
 use crate::stats::{BucketStats, ServerStats};
-use iwino_core::{ConvError, Epilogue};
+use iwino_core::error::expect_dims;
+use iwino_core::Epilogue;
 use iwino_engine::{ConvAlgorithm, Engine, EngineStats, Handle, SelectionPolicy};
 use iwino_obs::{self as obs, Counter, HistSite};
 use iwino_parallel::{default_threads, ThreadPool};
@@ -191,13 +192,7 @@ impl ServerBuilder {
         let mut buckets = Vec::with_capacity(self.buckets.len());
         let mut by_label = HashMap::new();
         for (label, shape, weights, policy) in self.buckets {
-            if weights.dims() != shape.w_dims() {
-                return Err(ServeError::Conv(ConvError::ShapeMismatch {
-                    what: "filter",
-                    got: weights.dims(),
-                    want: shape.w_dims(),
-                }));
-            }
+            expect_dims("filter", weights.dims(), shape.w_dims()).map_err(ServeError::Conv)?;
             let algo = engine.resolve(&policy, &shape)?;
             assert!(
                 by_label.insert(label.clone(), buckets.len()).is_none(),
@@ -261,13 +256,7 @@ impl Server {
             label: label.to_string(),
         })?;
         let bucket = &shared.buckets[idx];
-        if input.dims() != bucket.shape.x_dims() {
-            return Err(ServeError::Conv(ConvError::ShapeMismatch {
-                what: "input",
-                got: input.dims(),
-                want: bucket.shape.x_dims(),
-            }));
-        }
+        expect_dims("input", input.dims(), bucket.shape.x_dims()).map_err(ServeError::Conv)?;
         let now = Instant::now();
         let mut state = shared.state.lock().unwrap();
         if state.shutdown {
@@ -482,6 +471,7 @@ fn run_batch(shared: &Shared, idx: usize, batch: Vec<Request>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iwino_core::ConvError;
 
     fn square_weights(s: &ConvShape, seed: u64) -> Tensor4<f32> {
         Tensor4::<f32>::random(s.w_dims(), seed, -1.0, 1.0)

@@ -11,6 +11,7 @@
 //! ```
 
 use im2col_winograd::core::nd::{conv3d, direct_conv3d_f64};
+use im2col_winograd::core::ConvOptions;
 use im2col_winograd::tensor::{Conv3dShape, Tensor5};
 use std::time::Instant;
 
@@ -24,7 +25,7 @@ fn main() {
     let w = Tensor5::<f32>::random(shape.w_dims(), 2, -1.0, 1.0);
 
     let t0 = Instant::now();
-    let y = conv3d(&x, &w, &shape);
+    let y = conv3d(&x, &w, &shape, &ConvOptions::default()).expect("shape-consistent operands");
     println!(
         "im2col-winograd conv3d: {:?} ({:.1} Gflop/s)",
         t0.elapsed(),

@@ -75,6 +75,13 @@ echo "== engine smoke (every registry backend vs the f64 reference) =="
 # if any backend or pass fails to plan, run, or agree.
 cargo run --offline --release -p iwino-bench --bin repro -- engine
 
+echo "== ND extension end to end (native + forced-scalar dispatch) =="
+# The §4.2 3-D convolution through the shared Γ row pass (Winograd tiles
+# plus the packed-GEMM remainder); the example exits nonzero unless its
+# max mixed error against the f64 direct reference stays below 1e-3.
+cargo run --offline --release -q --example volumetric_conv3d
+IWINO_FORCE_SCALAR=1 cargo run --offline --release -q --example volumetric_conv3d
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

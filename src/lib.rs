@@ -88,7 +88,7 @@ pub use iwino_transforms as transforms;
 
 /// The handful of names almost every user needs.
 pub mod prelude {
-    pub use iwino_core::{auto_options, conv1d, conv2d, conv3d, deconv2d, ConvOptions, GammaSpec, Variant};
+    pub use iwino_core::{auto_options, conv1d, conv2d, conv3d, deconv2d, ConvError, ConvOptions, GammaSpec, Variant};
     pub use iwino_indirect::filter_grad;
     pub use iwino_tensor::{Conv3dShape, ConvShape, ErrorStats, Tensor4, Tensor5};
 }

@@ -123,12 +123,24 @@ fn conv_bits(
         .collect()
 }
 
-/// Assert native-dispatch output is bitwise identical to forced-scalar.
+/// Assert native-dispatch output is bitwise identical to forced-scalar, and
+/// to every other variant of the same kernel: Ruse changes only the gather
+/// and C64 only the cache block, never the per-element summation order.
 #[allow(clippy::too_many_arguments)]
 fn check_bitwise(alpha: usize, n: usize, r: usize, variant: Variant, ic: usize, oc: usize, ow: usize, seed: u64) {
     let _g = dispatch_guard();
     simd::set_force_scalar(false);
     let native = conv_bits(alpha, n, r, variant, ic, oc, ow, seed);
+    let others = [Variant::Standard, Variant::Ruse, Variant::C64];
+    for other in others
+        .into_iter()
+        .filter(|&v| v != variant && (v != Variant::C64 || alpha == 16))
+    {
+        assert!(
+            conv_bits(alpha, n, r, other, ic, oc, ow, seed) == native,
+            "Γ{alpha}(n={n}, r={r}) ic={ic} oc={oc} ow={ow}: {other:?} is not bit-for-bit identical to {variant:?}"
+        );
+    }
     simd::set_force_scalar(true);
     let scalar = conv_bits(alpha, n, r, variant, ic, oc, ow, seed);
     assert!(
