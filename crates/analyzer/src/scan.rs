@@ -398,7 +398,7 @@ pub fn ident_after(code: &str, pos: usize) -> Option<String> {
 const SKIP_COMPONENTS: &[&str] = &["target", "vendored", ".git", "fixtures", "repro_results"];
 
 /// Recursively collect every `.rs` file under `root`, skipping
-/// [`SKIP_COMPONENTS`], sorted by relative path for deterministic reports.
+/// `SKIP_COMPONENTS`, sorted by relative path for deterministic reports.
 pub fn workspace_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     walk(root, &mut out)?;

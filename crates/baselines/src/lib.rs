@@ -1,4 +1,6 @@
-//! Baseline convolution algorithms the paper benchmarks against.
+//! Baseline convolution algorithms the paper benchmarks against. None of
+//! them is registered in the engine: they are test references and the
+//! figure runner's comparator series, called directly.
 //!
 //! * [`direct`] — schoolbook convolution; the `f64`-accumulator variant is
 //!   the ground truth of Experiment 2 ("The CPU convolution uses FP64
@@ -15,13 +17,11 @@
 #![forbid(unsafe_code)]
 
 pub mod direct;
-pub mod fft;
 pub mod gemm;
 pub mod im2col;
 pub mod winograd2d;
 
 pub use direct::{direct_backward_data, direct_conv, direct_conv_f64_ref};
-pub use fft::{fft, fft_conv, Complex};
 pub use gemm::sgemm_naive;
 pub use im2col::{im2col_conv_nchw, im2col_conv_nchw_scratch, Im2colPlan};
 pub use winograd2d::winograd2d_conv;

@@ -143,10 +143,13 @@ pub fn measure_im2col_nchw(shape: &ConvShape, reps: usize) -> f64 {
     shape.flops() / dt / 1e9
 }
 
-/// Measured CPU Gflop/s of the fused 2-D Winograd baseline (r = 3 only),
-/// driven through the engine registry.
+/// Measured CPU Gflop/s of the fused 2-D Winograd baseline `F(2×2, 3×3)`
+/// (r = 3 only).
 pub fn measure_winograd2d(shape: &ConvShape, reps: usize) -> f64 {
-    measure_engine_backend("winograd2d", shape, reps).unwrap_or_else(|e| panic!("winograd2d on {shape:?}: {e}"))
+    let x = Tensor4::<f32>::random(shape.x_dims(), 13, -1.0, 1.0);
+    let w = Tensor4::<f32>::random(shape.w_dims(), 14, -1.0, 1.0);
+    let dt = time_reps(|| drop(winograd2d_conv(&x, &w, shape, 2)), reps);
+    shape.flops() / dt / 1e9
 }
 
 /// Regenerate one figure panel: GPU-simulated series for every variant and
@@ -425,7 +428,7 @@ impl EngineSmokeRow {
 pub fn engine_smoke(reps: usize) -> Result<Vec<EngineSmokeRow>, String> {
     let eng = Engine::global();
     let candidates = [
-        ConvShape::square(1, 12, 4, 8, 3), // unit-stride 3×3: every backend
+        ConvShape::square(1, 12, 4, 8, 3), // unit-stride 3×3: both backends
         ConvShape {
             sh: 2,
             sw: 2,

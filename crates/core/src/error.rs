@@ -29,12 +29,10 @@ pub enum ConvError {
         sw: usize,
     },
     /// The algorithm cannot run this shape for a reason other than stride
-    /// (e.g. the fused 2-D Winograd baseline is 3×3-only).
+    /// (e.g. a filter width outside the Γ planner's range).
     Unsupported { algorithm: &'static str, reason: String },
     /// No registered algorithm answers to this name (engine dispatch).
     UnknownAlgorithm { name: String },
-    /// No registered algorithm supports the shape (engine dispatch).
-    NoEligibleAlgorithm { shape: ConvShape },
     /// The named algorithm's `supports` query rejected the shape (engine
     /// dispatch); `supported` lists the registered backends that can run it,
     /// so callers of a forced backend know where to re-route. The shape is
@@ -64,9 +62,6 @@ impl fmt::Display for ConvError {
                 write!(f, "{algorithm} cannot run this shape: {reason}")
             }
             ConvError::UnknownAlgorithm { name } => write!(f, "no convolution algorithm named {name:?} is registered"),
-            ConvError::NoEligibleAlgorithm { shape } => {
-                write!(f, "no registered convolution algorithm supports shape {shape:?}")
-            }
             ConvError::UnsupportedShape {
                 algorithm,
                 shape,
@@ -121,18 +116,17 @@ mod tests {
     #[test]
     fn unsupported_shape_names_capable_backends() {
         let e = ConvError::UnsupportedShape {
-            algorithm: "fft",
+            algorithm: "im2col-winograd",
             shape: Box::new(ConvShape {
                 sh: 2,
                 sw: 2,
                 ..ConvShape::square(1, 9, 3, 4, 3)
             }),
-            supported: vec!["direct", "im2col-indirect"],
+            supported: vec!["im2col-indirect"],
         };
         let msg = format!("{e}");
-        assert!(msg.contains("fft"), "{msg}");
-        assert!(msg.contains("im2col-indirect"), "{msg}");
-        assert!(msg.contains("direct"), "{msg}");
+        assert!(msg.starts_with("im2col-winograd does not support"), "{msg}");
+        assert!(msg.ends_with("supported by: im2col-indirect"), "{msg}");
     }
 
     #[test]

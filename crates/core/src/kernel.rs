@@ -149,7 +149,7 @@ fn bounded_insert<K: Eq + Hash + Clone, V: Clone>(
 /// Process-wide kernel cache: generating the transform matrices runs exact
 /// rational arithmetic (expensive for α = 16), and convolutions inside a
 /// training loop would otherwise pay it on every call. Bounded to
-/// [`KERNEL_CACHE_BOUND`] entries.
+/// `KERNEL_CACHE_BOUND` entries.
 pub fn cached_kernel(alpha: usize, n: usize, r: usize, variant: Variant) -> Arc<GammaKernel> {
     type Cache = Mutex<HashMap<(usize, usize, usize, Variant), Arc<GammaKernel>>>;
     static CACHE: OnceLock<Cache> = OnceLock::new();

@@ -32,9 +32,6 @@ pub enum AlgorithmClass {
     ImplicitPrecompGemm,
     /// Naive direct convolution: no auxiliary memory at all.
     Direct,
-    /// FFT convolution: frequency-domain ifms, filter bank, and product
-    /// accumulator, each padded to the `IH×IW` transform size.
-    Fft,
 }
 
 /// Bytes of auxiliary global memory the algorithm needs for `shape` (f32).
@@ -64,14 +61,6 @@ pub fn workspace_bytes(class: AlgorithmClass, s: &ConvShape) -> usize {
             (s.oh() * s.fh + s.ow() * s.fw) * 4
         }
         AlgorithmClass::Direct => 0,
-        AlgorithmClass::Fft => {
-            // Complex (2×f32) IH×IW-padded planes: transformed ifms, the
-            // frequency-domain filter bank, and one product accumulator
-            // plane per worker (counted once — it is shape-, not
-            // batch-scaled).
-            let plane = s.ih * s.iw * 2 * f32s;
-            s.n * s.ic * plane + s.oc * s.ic * plane + s.oc * plane
-        }
     }
 }
 

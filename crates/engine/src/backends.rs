@@ -1,43 +1,35 @@
-//! The registered [`ConvAlgorithm`] implementations.
-//!
-//! One adapter per algorithm family the paper benchmarks (§6.1.1): the
-//! fused Im2col-Winograd kernels, indirect convolution (Dukhan's
-//! indirection-buffer GEMM — the NHWC `Implicit_Precomp_GEMM` stand-in and
-//! the arbitrary-stride path), direct convolution, fused 2-D Winograd
-//! (`Fused_Winograd`, 3×3-only) and FFT. Every adapter produces a
+//! The registered [`ConvAlgorithm`] implementations: exactly the two
+//! outcomes of the §5.7 selector. The fused Im2col-Winograd kernels run
+//! unit-stride shapes; indirect convolution (Dukhan's indirection-buffer
+//! GEMM — the NHWC `Implicit_Precomp_GEMM` stand-in and the
+//! arbitrary-stride path) runs everything else. Each adapter produces a
 //! [`ConvPlan`] owning whatever per-shape state is expensive to rebuild —
-//! transformed-filter banks, reshaped weights, indirection tables — so the
-//! engine's cache turns repeat calls into pure execution.
+//! transformed-filter banks, packed weights, indirection tables — so the
+//! engine's cache turns repeat calls into pure execution. The comparators
+//! the figures plot (`iwino_baselines`) are called directly, not
+//! dispatched.
 
 use crate::arena::WorkspacePool;
 use crate::{ConvAlgorithm, ConvPlan};
-use iwino_baselines as baselines;
 use iwino_core::error::expect_dims;
 use iwino_core::{AlgorithmClass, ConvError, ConvOptions, Epilogue, PreparedConv};
 use iwino_tensor::{transpose_filter_to_hwio, ConvShape, Tensor4};
 use std::sync::Arc;
 
 /// Registry names, in registration order. `Engine::algorithms` mirrors this.
-pub const BACKEND_NAMES: [&str; 5] = ["im2col-winograd", "direct", "winograd2d", "fft", "im2col-indirect"];
+pub const BACKEND_NAMES: [&str; 2] = ["im2col-winograd", "im2col-indirect"];
 
 pub(crate) fn all_backends() -> Vec<Arc<dyn ConvAlgorithm>> {
-    vec![
-        Arc::new(WinogradBackend::auto()),
-        Arc::new(DirectBackend),
-        Arc::new(Winograd2dBackend),
-        Arc::new(FftBackend),
-        Arc::new(IndirectBackend),
-    ]
-}
-
-fn unsupported(algorithm: &'static str, reason: impl Into<String>) -> ConvError {
-    ConvError::Unsupported {
-        algorithm,
-        reason: reason.into(),
-    }
+    vec![Arc::new(WinogradBackend::auto()), Arc::new(IndirectBackend)]
 }
 
 // ---------------------------------------------------------------- winograd
+
+/// Shapes the fused path can run: unit stride (§4), and filter widths the
+/// Γ planner covers (2..=15).
+pub(crate) fn gamma_supports(s: &ConvShape) -> bool {
+    s.is_unit_stride() && (2..=15).contains(&s.fw)
+}
 
 /// The paper's fused Γα(n, r) path, wrapped as a registry backend. By
 /// default each shape gets `auto_options`; bench sweeps that force a
@@ -79,8 +71,7 @@ impl ConvAlgorithm for WinogradBackend {
     }
 
     fn supports(&self, s: &ConvShape) -> bool {
-        // Unit stride (§4); planning covers filter widths 2..=15.
-        s.is_unit_stride() && (2..=15).contains(&s.fw)
+        gamma_supports(s)
     }
 
     fn workspace_class(&self, s: &ConvShape) -> AlgorithmClass {
@@ -92,7 +83,10 @@ impl ConvAlgorithm for WinogradBackend {
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
         if !self.supports(s) {
-            return Err(unsupported(self.name(), format!("unsupported shape {s:?}")));
+            return Err(ConvError::Unsupported {
+                algorithm: self.name(),
+                reason: format!("unsupported shape {s:?}"),
+            });
         }
         let opts = self.options_for(s);
         let prep = if deconv {
@@ -122,203 +116,6 @@ impl ConvPlan for WinogradPlan {
         // property); only a boundary GEMM segment, when the plan has one,
         // checks its patch and panel buffers out of the arena.
         self.prep.execute_scratch(x, epilogue, arena)
-    }
-}
-
-// ------------------------------------------------------------------ direct
-
-/// Schoolbook convolution: supports everything, fast at nothing. Its
-/// backward-data plan runs only when `direct` is forced by name.
-pub struct DirectBackend;
-
-struct DirectPlan {
-    w: Tensor4<f32>,
-    shape: ConvShape,
-    deconv: bool,
-}
-
-impl ConvAlgorithm for DirectBackend {
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-
-    fn supports(&self, _s: &ConvShape) -> bool {
-        true
-    }
-
-    fn workspace_class(&self, _s: &ConvShape) -> AlgorithmClass {
-        AlgorithmClass::Direct
-    }
-
-    fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
-        expect_dims("filter", w.dims(), s.w_dims())?;
-        Ok(Arc::new(DirectPlan {
-            w: w.clone(),
-            shape: *s,
-            deconv,
-        }))
-    }
-}
-
-impl ConvPlan for DirectPlan {
-    fn algorithm(&self) -> &'static str {
-        "direct"
-    }
-
-    fn shape(&self) -> &ConvShape {
-        &self.shape
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.w.len() * 4
-    }
-
-    fn run(&self, x: &Tensor4<f32>, epilogue: &Epilogue, _arena: &WorkspacePool) -> Result<Tensor4<f32>, ConvError> {
-        let s = &self.shape;
-        if self.deconv {
-            expect_dims("dy", x.dims(), s.y_dims())?;
-            let mut dx = baselines::direct_backward_data(x, &self.w, s);
-            epilogue.apply(dx.as_mut_slice(), s.ic);
-            Ok(dx)
-        } else {
-            expect_dims("input", x.dims(), s.x_dims())?;
-            let mut y = baselines::direct_conv(x, &self.w, s);
-            epilogue.apply(y.as_mut_slice(), s.oc);
-            Ok(y)
-        }
-    }
-}
-
-// -------------------------------------------------------------- winograd2d
-
-/// Fused 2-D Winograd `F(2×2, 3×3)` — the `Fused_Winograd` stand-in, with
-/// exactly the 3×3/unit-stride restriction the paper calls out in §6.1.1.
-pub struct Winograd2dBackend;
-
-struct Winograd2dPlan {
-    w: Tensor4<f32>,
-    shape: ConvShape,
-}
-
-impl ConvAlgorithm for Winograd2dBackend {
-    fn name(&self) -> &'static str {
-        "winograd2d"
-    }
-
-    fn supports(&self, s: &ConvShape) -> bool {
-        s.is_unit_stride() && s.fh == 3 && s.fw == 3
-    }
-
-    fn workspace_class(&self, _s: &ConvShape) -> AlgorithmClass {
-        AlgorithmClass::Winograd2dNonFused { alpha: 4, n: 2 }
-    }
-
-    fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
-        if deconv {
-            return Err(unsupported(
-                self.name(),
-                "no backward-data path; it runs through `im2col-indirect`",
-            ));
-        }
-        if !self.supports(s) {
-            return Err(unsupported(self.name(), "3×3 unit-stride only (§6.1.1)"));
-        }
-        expect_dims("filter", w.dims(), s.w_dims())?;
-        Ok(Arc::new(Winograd2dPlan {
-            w: w.clone(),
-            shape: *s,
-        }))
-    }
-}
-
-impl ConvPlan for Winograd2dPlan {
-    fn algorithm(&self) -> &'static str {
-        "winograd2d"
-    }
-
-    fn shape(&self) -> &ConvShape {
-        &self.shape
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.w.len() * 4
-    }
-
-    fn run(&self, x: &Tensor4<f32>, epilogue: &Epilogue, _arena: &WorkspacePool) -> Result<Tensor4<f32>, ConvError> {
-        let s = &self.shape;
-        expect_dims("input", x.dims(), s.x_dims())?;
-        let mut y = baselines::winograd2d_conv(x, &self.w, s, 2);
-        epilogue.apply(y.as_mut_slice(), s.oc);
-        Ok(y)
-    }
-}
-
-// --------------------------------------------------------------------- fft
-
-/// FFT convolution (unit stride). Included for algorithm-coverage parity;
-/// its frequency-domain filter bank is rebuilt per run, which the
-/// `AlgorithmClass::Fft` workspace accounting already charges it for.
-pub struct FftBackend;
-
-struct FftPlan {
-    w: Tensor4<f32>,
-    shape: ConvShape,
-}
-
-impl ConvAlgorithm for FftBackend {
-    fn name(&self) -> &'static str {
-        "fft"
-    }
-
-    fn supports(&self, s: &ConvShape) -> bool {
-        s.is_unit_stride()
-    }
-
-    fn workspace_class(&self, _s: &ConvShape) -> AlgorithmClass {
-        AlgorithmClass::Fft
-    }
-
-    fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
-        if deconv {
-            return Err(unsupported(
-                self.name(),
-                "no backward-data path; it runs through `im2col-indirect`",
-            ));
-        }
-        if !self.supports(s) {
-            return Err(ConvError::NonUnitStride {
-                algorithm: "fft",
-                sh: s.sh,
-                sw: s.sw,
-            });
-        }
-        expect_dims("filter", w.dims(), s.w_dims())?;
-        Ok(Arc::new(FftPlan {
-            w: w.clone(),
-            shape: *s,
-        }))
-    }
-}
-
-impl ConvPlan for FftPlan {
-    fn algorithm(&self) -> &'static str {
-        "fft"
-    }
-
-    fn shape(&self) -> &ConvShape {
-        &self.shape
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.w.len() * 4
-    }
-
-    fn run(&self, x: &Tensor4<f32>, epilogue: &Epilogue, _arena: &WorkspacePool) -> Result<Tensor4<f32>, ConvError> {
-        let s = &self.shape;
-        expect_dims("input", x.dims(), s.x_dims())?;
-        let mut y = baselines::fft_conv(x, &self.w, s);
-        epilogue.apply(y.as_mut_slice(), s.oc);
-        Ok(y)
     }
 }
 

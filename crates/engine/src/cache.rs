@@ -133,7 +133,7 @@ mod tests {
 
     fn key(i: usize) -> PlanKey {
         PlanKey {
-            algo: "direct",
+            algo: "im2col-indirect",
             shape: ConvShape::square(1, 4 + i, 1, 1, 3),
             filter: FilterId { owner: 1, epoch: 0 },
             deconv: false,

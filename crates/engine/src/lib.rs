@@ -1,5 +1,5 @@
-//! Unified convolution engine: one dispatch surface over every algorithm
-//! in the workspace.
+//! Unified convolution engine: one dispatch surface over the two
+//! algorithms the §5.7 selector can return.
 //!
 //! The paper's §5.5/§5.7 story is that Im2col-Winograd is one algorithm in
 //! a *selector* — unit-stride convolutions run Γα(n, r), everything else
@@ -19,10 +19,8 @@
 //!   path), and an arena-backed [`WorkspacePool`] so GEMM-class scratch
 //!   stops hitting the allocator per call.
 //! * [`SelectionPolicy`] — §5.7's heuristic by default (unit stride → Γ,
-//!   otherwise the indirect GEMM `im2col-indirect`), an optional
-//!   measure-once autotune that times every eligible backend on first
-//!   sight of a shape and pins the winner, and `Force` for driving a
-//!   specific backend by registry name.
+//!   otherwise the indirect GEMM `im2col-indirect`), and `Force` for
+//!   driving a specific backend by registry name.
 //! * [`Handle`] — per-layer identity: owns the filter-id whose epoch is
 //!   bumped on weight mutation, which invalidates cached plans without any
 //!   cache walk.
@@ -42,7 +40,6 @@ use iwino_core::error::expect_dims;
 use iwino_core::{AlgorithmClass, ConvError, Epilogue};
 use iwino_obs as obs;
 use iwino_tensor::{ConvShape, Tensor4};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -54,11 +51,11 @@ const PLAN_CACHE_BOUND: usize = 64;
 
 /// A convolution algorithm the engine can dispatch to.
 pub trait ConvAlgorithm: Send + Sync {
-    /// Stable registry name (`"im2col-winograd"`, `"direct"`, …).
+    /// Stable registry name (`"im2col-winograd"` or `"im2col-indirect"`).
     fn name(&self) -> &'static str;
 
-    /// Can this algorithm run `s` at all? Selection and autotune consult
-    /// this before planning.
+    /// Can this algorithm run `s` at all? Selection and the engine's
+    /// capability gate consult this before planning.
     fn supports(&self, s: &ConvShape) -> bool;
 
     /// Workspace class for the §6.1.1 memory accounting
@@ -67,9 +64,7 @@ pub trait ConvAlgorithm: Send + Sync {
 
     /// Build a plan for `shape` around filter `w` (`OC×FH×FW×IC`). With
     /// `deconv`, the plan computes backward-data: its input is `dy` and its
-    /// output `dx`. Backends without a deconv path return
-    /// [`ConvError::Unsupported`]; the engine reroutes those to
-    /// `im2col-indirect`.
+    /// output `dx`.
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError>;
 }
 
@@ -99,10 +94,6 @@ pub enum SelectionPolicy {
     /// (`im2col-indirect`). See [`Engine::heuristic_choice`].
     #[default]
     Heuristic,
-    /// Time every eligible backend on first sight of a shape, pin the
-    /// winner for all subsequent calls (measure-once, like cuDNN's
-    /// `cudnnFindConvolutionForwardAlgorithm`).
-    Autotune,
     /// Always use the named backend.
     Force(String),
 }
@@ -171,14 +162,11 @@ pub struct EngineStats {
     pub arena: ArenaStats,
 }
 
-/// The dispatch surface: registry + plan cache + arena + autotune pins.
+/// The dispatch surface: registry + plan cache + arena.
 pub struct Engine {
     registry: Vec<Arc<dyn ConvAlgorithm>>,
     cache: Mutex<PlanCache>,
     arena: WorkspacePool,
-    /// Autotune winners, keyed by shape. Deliberately separate from the
-    /// plan cache: evicting a plan must not forget the measurement.
-    pinned: Mutex<HashMap<ConvShape, &'static str>>,
 }
 
 impl Default for Engine {
@@ -203,7 +191,6 @@ impl Engine {
             registry: backends::all_backends(),
             cache: Mutex::new(PlanCache::new(bound.max(1))),
             arena: WorkspacePool::new(),
-            pinned: Mutex::new(HashMap::new()),
         }
     }
 
@@ -240,30 +227,21 @@ impl Engine {
     /// GEMM's batch-wide panel reuse beats short Γ tiles on the measured
     /// frontier (EXPERIMENTS.md, "who wins where").
     pub fn heuristic_choice(&self, s: &ConvShape) -> &'static str {
-        let gamma = &self.registry[0];
         let deep_k = s.ic >= 256 && s.fh <= 3 && s.fw <= 3;
-        if gamma.supports(s) && !deep_k {
-            gamma.name() // "im2col-winograd"
+        if backends::gamma_supports(s) && !deep_k {
+            "im2col-winograd"
         } else {
             "im2col-indirect"
         }
     }
 
-    /// The autotune winner pinned for `s`, if one has been measured.
-    pub fn pinned_choice(&self, s: &ConvShape) -> Option<&'static str> {
-        self.pinned.lock().unwrap().get(s).copied()
-    }
-
     /// The backend a handle's policy resolves to for `s` — without running
-    /// anything. Autotune resolves to its pin, or the heuristic choice when
-    /// no measurement has happened yet.
+    /// anything.
     pub fn resolve(&self, policy: &SelectionPolicy, s: &ConvShape) -> Result<Arc<dyn ConvAlgorithm>, ConvError> {
-        let name = match policy {
-            SelectionPolicy::Heuristic => self.heuristic_choice(s),
-            SelectionPolicy::Autotune => self.pinned_choice(s).unwrap_or_else(|| self.heuristic_choice(s)),
-            SelectionPolicy::Force(name) => return self.algorithm(name),
-        };
-        self.algorithm(name)
+        match policy {
+            SelectionPolicy::Heuristic => self.algorithm(self.heuristic_choice(s)),
+            SelectionPolicy::Force(name) => self.algorithm(name),
+        }
     }
 
     /// Fetch a cached plan, or build and cache one.
@@ -327,11 +305,6 @@ impl Engine {
         s: &ConvShape,
         epilogue: &Epilogue,
     ) -> Result<Tensor4<f32>, ConvError> {
-        if let SelectionPolicy::Autotune = h.policy {
-            if self.pinned_choice(s).is_none() {
-                return self.autotune(h, x, w, s, epilogue);
-            }
-        }
         let algo = self.resolve(&h.policy, s)?;
         self.conv_with(&algo, h.filter_id(), x, w, s, epilogue)
     }
@@ -351,11 +324,10 @@ impl Engine {
         plan.run(x, epilogue, &self.arena)
     }
 
-    /// Backward-data through a handle's policy. Shapes whose forward
-    /// resolves to Γ run the fused-rotation deconvolution; everything else —
-    /// strided shapes, the deep-K corner, backends with no deconv path —
-    /// runs `im2col-indirect`'s GEMM + col2im (§5.7). `direct` runs only
-    /// when forced by name.
+    /// Backward-data through a handle's policy, on the forward's algorithm:
+    /// Γ shapes run the fused-rotation deconvolution, everything else —
+    /// strided shapes, the deep-K corner — `im2col-indirect`'s GEMM +
+    /// col2im (§5.7).
     pub fn backward_data(
         &self,
         h: &Handle,
@@ -363,13 +335,7 @@ impl Engine {
         w: &Tensor4<f32>,
         s: &ConvShape,
     ) -> Result<Tensor4<f32>, ConvError> {
-        let forward = self.resolve(&h.policy, s)?;
-        let forced_direct = h.policy == SelectionPolicy::Force("direct".into());
-        let algo = if (forward.name() == "im2col-winograd" && forward.supports(s)) || forced_direct {
-            forward
-        } else {
-            self.algorithm("im2col-indirect")?
-        };
+        let algo = self.resolve(&h.policy, s)?;
         let plan = self.plan(&algo, w, s, h.filter_id(), true)?;
         let _run = obs::span(obs::Stage::EngineRun);
         plan.run(dy, &Epilogue::None, &self.arena)
@@ -386,47 +352,6 @@ impl Engine {
         let table = iwino_indirect::IndirectTable::build(s);
         let _run = obs::span(obs::Stage::EngineRun);
         Ok(iwino_indirect::filter_grad_with(x, dy, &table, &self.arena))
-    }
-
-    /// Measure every eligible backend once on `(x, w, s)`, pin the winner,
-    /// and return its output. Called on autotune's first sight of a shape.
-    fn autotune(
-        &self,
-        h: &Handle,
-        x: &Tensor4<f32>,
-        w: &Tensor4<f32>,
-        s: &ConvShape,
-        epilogue: &Epilogue,
-    ) -> Result<Tensor4<f32>, ConvError> {
-        type Timed = (u128, Arc<dyn ConvAlgorithm>, Arc<dyn ConvPlan>, Tensor4<f32>);
-        let mut best: Option<Timed> = None;
-        for algo in &self.registry {
-            if !algo.supports(s) {
-                continue;
-            }
-            let Ok(plan) = algo.plan(w, s, false) else { continue };
-            let t0 = Instant::now();
-            let Ok(y) = plan.run(x, epilogue, &self.arena) else {
-                continue;
-            };
-            let dt = t0.elapsed().as_nanos();
-            if best.as_ref().is_none_or(|(b, _, _, _)| dt < *b) {
-                best = Some((dt, Arc::clone(algo), plan, y));
-            }
-        }
-        let (_, algo, plan, y) = best.ok_or(ConvError::NoEligibleAlgorithm { shape: *s })?;
-        self.pinned.lock().unwrap().insert(*s, algo.name());
-        // Seed the cache with the winner's plan so the next call is a hit.
-        self.cache.lock().unwrap().insert(
-            PlanKey {
-                algo: algo.name(),
-                shape: *s,
-                filter: h.filter_id(),
-                deconv: false,
-            },
-            plan,
-        );
-        Ok(y)
     }
 
     pub fn stats(&self) -> EngineStats {
@@ -517,34 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_backward_data_only_when_forced() {
-        let s = ConvShape {
-            sh: 2,
-            sw: 2,
-            ..ConvShape::square(1, 9, 3, 4, 3)
-        };
-        let (_, w) = tensors(&s);
-        let dy = Tensor4::<f32>::random(s.y_dims(), 4, -1.0, 1.0);
-        for (policy, want) in [
-            (SelectionPolicy::Force("direct".into()), "direct"),
-            (SelectionPolicy::Force("fft".into()), "im2col-indirect"),
-            (SelectionPolicy::Autotune, "im2col-indirect"),
-        ] {
-            let eng = Engine::new();
-            let h = Handle::new(policy);
-            eng.backward_data(&h, &dy, &w, &s).unwrap();
-            let algo = eng.algorithm(want).unwrap();
-            eng.plan(&algo, &w, &s, h.filter_id(), true).unwrap();
-            assert_eq!(
-                eng.stats().plan_hits,
-                1,
-                "{:?} must build a {want} deconv plan",
-                h.policy
-            );
-        }
-    }
-
-    #[test]
     fn filter_grad_checks_dims_and_is_adjoint() {
         let eng = Engine::new();
         let s = ConvShape {
@@ -575,29 +472,25 @@ mod tests {
     #[test]
     fn forced_backend_on_unsupported_shape_names_capable_backends() {
         // The engine's capability gate answers before any backend-internal
-        // assertion can: forcing a unit-stride-only backend onto a strided
+        // assertion can: forcing the unit-stride Γ backend onto a strided
         // shape yields an error listing the backends that do support it.
         let eng = Engine::new();
+        let h = Handle::new(SelectionPolicy::Force("im2col-winograd".into()));
         let s = ConvShape {
             sh: 2,
             sw: 2,
             ..ConvShape::square(1, 9, 3, 4, 3)
         };
         let (x, w) = tensors(&s);
-        let fft = eng.algorithm("fft").unwrap();
-        let e = eng
-            .conv_with(&fft, FilterId { owner: 1, epoch: 0 }, &x, &w, &s, &Epilogue::None)
-            .unwrap_err();
+        let e = eng.conv(&h, &x, &w, &s, &Epilogue::None).unwrap_err();
         let ConvError::UnsupportedShape {
             algorithm, supported, ..
         } = e
         else {
             panic!("want UnsupportedShape, got {e}");
         };
-        assert_eq!(algorithm, "fft");
-        assert!(supported.contains(&"im2col-indirect"), "{supported:?}");
-        assert!(supported.contains(&"direct"), "{supported:?}");
-        assert!(!supported.contains(&"fft"), "{supported:?}");
+        assert_eq!(algorithm, "im2col-winograd");
+        assert_eq!(supported, ["im2col-indirect"]);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Selection-policy golden tests (ISSUE-4 satellite): the heuristic must
-//! mirror §5.7, and autotune's measure-once pin must be stable across
-//! repeated lookups — including after its cached plan is evicted.
+//! Selection-policy golden tests: the heuristic must mirror §5.7, the
+//! registry must hold exactly its outcomes, and a cached plan refilled
+//! after eviction must answer bit for bit as before.
 
 use iwino_baselines::direct_conv_f64_ref;
 use iwino_core::Epilogue;
 use iwino_engine::{Engine, FilterId, Handle, SelectionPolicy};
 use iwino_tensor::{max_mixed_error, ConvShape, Tensor4};
+use std::collections::BTreeSet;
 
 #[test]
 fn heuristic_picks_winograd_for_unit_stride_r2_to_9() {
@@ -69,6 +70,19 @@ fn heuristic_picks_indirect_for_strides_at_least_2() {
     }
 }
 
+/// Unit-stride r = 1…16, deep-K and strided shapes: both sides of every
+/// edge of the §5.7 frontier.
+fn frontier_shapes() -> Vec<ConvShape> {
+    let strided = ConvShape {
+        sh: 2,
+        sw: 2,
+        ..ConvShape::square(1, 24, 32, 32, 3)
+    };
+    let unit = [1usize, 3, 5, 9, 16].map(|r| ConvShape::square(1, 20, 8, 8, r));
+    let deep = [1usize, 2, 3].map(|r| ConvShape::square(1, 12, 256, 64, r));
+    unit.into_iter().chain(deep).chain([strided]).collect()
+}
+
 #[test]
 fn heuristic_has_exactly_two_outcomes() {
     // Every shape resolves to Γ or the indirect GEMM; pin both sides of
@@ -83,7 +97,7 @@ fn heuristic_has_exactly_two_outcomes() {
     assert_eq!(eng.heuristic_choice(&strided), "im2col-indirect");
     // Large r beyond the Γ planner's 2..=15 width range: indirect.
     let large_r = ConvShape::square(1, 20, 4, 4, 16);
-    assert!(!large_r.is_unit_stride() || large_r.fw > 15);
+    assert!(large_r.fw > 15);
     assert_eq!(eng.heuristic_choice(&large_r), "im2col-indirect");
     // Deep-K r=3 unit stride: indirect; one channel step below: Γ.
     assert_eq!(
@@ -94,15 +108,23 @@ fn heuristic_has_exactly_two_outcomes() {
         eng.heuristic_choice(&ConvShape::square(1, 12, 255, 255, 3)),
         "im2col-winograd"
     );
-    let unit = [1usize, 3, 5, 9, 16].map(|r| ConvShape::square(1, 20, 8, 8, r));
-    let deep = [1usize, 2, 3].map(|r| ConvShape::square(1, 12, 256, 64, r));
-    for s in unit.iter().chain(&deep).chain([&strided, &large_r]) {
-        let choice = eng.heuristic_choice(s);
+    for s in frontier_shapes() {
+        let choice = eng.heuristic_choice(&s);
         assert!(
             ["im2col-winograd", "im2col-indirect"].contains(&choice),
             "{s:?} resolved to {choice}"
         );
     }
+}
+
+#[test]
+fn registry_is_exactly_the_heuristic_outcomes() {
+    // A backend registered without a selector arm (or an arm naming an
+    // unregistered backend) breaks this equality.
+    let eng = Engine::new();
+    let registered: BTreeSet<&str> = eng.algorithms().into_iter().collect();
+    let selected: BTreeSet<&str> = frontier_shapes().iter().map(|s| eng.heuristic_choice(s)).collect();
+    assert_eq!(registered, selected);
 }
 
 #[test]
@@ -139,35 +161,32 @@ fn heuristic_resolution_matches_what_conv_runs() {
 
 #[test]
 fn force_policy_always_uses_the_named_backend() {
+    // `nn::Backend::Gemm`'s control arm: indirect even where Γ would run.
     let eng = Engine::new();
-    let h = Handle::new(SelectionPolicy::Force("direct".into()));
+    let h = Handle::new(SelectionPolicy::Force("im2col-indirect".into()));
     let s = ConvShape::square(1, 8, 3, 4, 3); // winograd-eligible shape
-    assert_eq!(eng.resolve(&h.policy, &s).unwrap().name(), "direct");
+    assert_eq!(eng.heuristic_choice(&s), "im2col-winograd");
+    assert_eq!(eng.resolve(&h.policy, &s).unwrap().name(), "im2col-indirect");
+    let x = Tensor4::<f32>::random(s.x_dims(), 3, -1.0, 1.0);
+    let w = Tensor4::<f32>::random(s.w_dims(), 4, -1.0, 1.0);
+    eng.conv(&h, &x, &w, &s, &Epilogue::None).unwrap();
+    let indirect = eng.algorithm("im2col-indirect").unwrap();
+    eng.plan(&indirect, &w, &s, h.filter_id(), false).unwrap();
+    assert_eq!(eng.stats().plan_hits, 1, "conv must have built the indirect plan");
 }
 
 #[test]
-fn autotune_pin_is_stable_across_repeated_lookups_and_eviction() {
+fn refilled_plan_after_eviction_is_bitwise_identical() {
     let eng = Engine::new();
-    let h = Handle::new(SelectionPolicy::Autotune);
+    let h = Handle::new(SelectionPolicy::Heuristic);
     let s = ConvShape::square(1, 10, 3, 4, 3);
     let x = Tensor4::<f32>::random(s.x_dims(), 5, -1.0, 1.0);
     let w = Tensor4::<f32>::random(s.w_dims(), 6, -1.0, 1.0);
-
-    assert!(eng.pinned_choice(&s).is_none(), "no pin before first sight");
     let y0 = eng.conv(&h, &x, &w, &s, &Epilogue::None).unwrap();
-    let winner = eng.pinned_choice(&s).expect("first call must pin a winner");
 
-    // Repeated lookups: the pin never changes, outputs stay identical.
-    for _ in 0..5 {
-        let y = eng.conv(&h, &x, &w, &s, &Epilogue::None).unwrap();
-        assert_eq!(y.as_slice(), y0.as_slice());
-        assert_eq!(eng.pinned_choice(&s), Some(winner));
-    }
-
-    // Flood the plan cache with other shapes until the pinned shape's plan
-    // is evicted; the pin must survive and the refilled plan must agree.
-    let flood = eng.algorithm("direct").unwrap();
-    let evictions_before = eng.stats().plan_evictions;
+    // Flood the plan cache with other shapes until this shape's plan is
+    // evicted; the refilled plan must agree bit for bit.
+    let flood = eng.algorithm("im2col-indirect").unwrap();
     for i in 0..80 {
         let fs = ConvShape::square(1, 6 + i % 13, 1 + i % 3, 1 + (i + 1) % 3, 3);
         let fx = Tensor4::<f32>::random(fs.x_dims(), 1000 + i as u64, -1.0, 1.0);
@@ -185,31 +204,14 @@ fn autotune_pin_is_stable_across_repeated_lookups_and_eviction() {
         )
         .unwrap();
     }
+    let st = eng.stats();
     assert!(
-        eng.stats().plan_evictions > evictions_before,
+        st.plan_evictions > 0,
         "flood must actually evict (cache bound exercised)"
     );
-    assert_eq!(eng.pinned_choice(&s), Some(winner), "pin survives plan eviction");
+    let misses = st.plan_misses;
     let y = eng.conv(&h, &x, &w, &s, &Epilogue::None).unwrap();
-    assert_eq!(y.as_slice(), y0.as_slice(), "refilled plan matches the original");
-    assert_eq!(eng.pinned_choice(&s), Some(winner), "refill must not re-measure");
-}
-
-#[test]
-fn autotune_on_strided_shape_pins_a_gemm_class_backend() {
-    let eng = Engine::new();
-    let h = Handle::new(SelectionPolicy::Autotune);
-    let s = ConvShape {
-        sh: 2,
-        sw: 2,
-        ..ConvShape::square(1, 9, 3, 4, 3)
-    };
-    let x = Tensor4::<f32>::random(s.x_dims(), 8, -1.0, 1.0);
-    let w = Tensor4::<f32>::random(s.w_dims(), 9, -1.0, 1.0);
-    eng.conv(&h, &x, &w, &s, &Epilogue::None).unwrap();
-    let winner = eng.pinned_choice(&s).unwrap();
-    assert!(
-        ["direct", "im2col-indirect"].contains(&winner),
-        "strided shape pinned {winner}, but only GEMM-class backends are eligible"
-    );
+    assert_eq!(eng.stats().plan_misses, misses + 1, "the plan must have been rebuilt");
+    let bits = |t: &Tensor4<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&y), bits(&y0), "refilled plan matches the original");
 }

@@ -14,7 +14,7 @@
 //! * **Multiplication reduction** — `Φ = n·r/α` (§6.1.2) scales the compute
 //!   leg: the Winograd kernels execute `std_flops / Φ` effective FMA work.
 //! * **Occupancy** — SMEM/registers/threads per block (Algorithms 1/2)
-//!   against the device limits ([`occupancy`]).
+//!   against the device limits ([`occupancy`](mod@occupancy)).
 //! * **Bank behaviour** — a 32-bank shared-memory simulator ([`smem`])
 //!   replays the §5.2 store/load patterns with and without the paper's
 //!   paddings and Z-shaped lane arrangement, yielding a conflict

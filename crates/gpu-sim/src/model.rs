@@ -283,7 +283,7 @@ fn estimate_gamma(
 /// The accounting mirrors the CPU kernels: the paired §5.3 transforms cost
 /// ≈ α²/2 multiplies per input tile and channel (`dt`) and ≈ α·n/2 per
 /// output tile and channel (`at`) — the same counts behind
-/// [`transform_penalty`] — the outer products cost α FMAs per (tile, ic,
+/// `transform_penalty` — the outer products cost α FMAs per (tile, ic,
 /// oc), the one-off filter transform α·r multiplies per (oc, ic), and the
 /// §5.5 GEMM remainder pays full direct-convolution MACs on its columns.
 #[derive(Clone, Debug, Default)]

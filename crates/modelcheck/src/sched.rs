@@ -3,7 +3,7 @@
 //!
 //! Model threads are real OS threads (so model code is ordinary blocking
 //! Rust), but they only ever run one at a time: each shim operation calls
-//! [`Ctrl::pause`], which surrenders the scheduling token and parks until
+//! `Ctrl::pause`, which surrenders the scheduling token and parks until
 //! the scheduler grants it back. The scheduler (the thread that called
 //! [`run_model`]) waits for every thread to park, asks the chooser to
 //! pick among the runnable ones, and hands the token over. Blocking

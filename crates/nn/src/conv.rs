@@ -144,9 +144,15 @@ impl Conv2d {
         self.epilogue.as_ref().unwrap()
     }
 
-    /// Whether this layer's forward runs the Winograd kernels.
+    /// Whether this layer's forward runs the Winograd kernels: asks the
+    /// engine's selector, so the answer matches what dispatch does (the
+    /// choice depends on stride, filter and channels, not on the input's
+    /// spatial size).
     pub fn uses_winograd(&self) -> bool {
-        self.backend == Backend::ImcolWinograd && self.stride == 1
+        let s = self.serving_shape(1, self.fh, self.fw);
+        Engine::global()
+            .resolve(&self.handle.policy, &s)
+            .is_ok_and(|algo| algo.name() == "im2col-winograd")
     }
 
     /// The engine handle driving this layer's dispatch (selection policy +
@@ -286,6 +292,14 @@ mod tests {
         assert!(!c.uses_winograd());
         let c = Conv2d::new(4, 8, 3, 1, 1, false, Backend::ImcolWinograd, 1);
         assert!(c.uses_winograd());
+        let c = Conv2d::new(4, 8, 3, 1, 1, false, Backend::Gemm, 1);
+        assert!(!c.uses_winograd());
+        // Unit stride but still the indirect GEMM: the deep-K corner, a 1×1
+        // filter and a filter wider than the Γ planner covers.
+        for (ic, f, pad) in [(256, 3, 1), (4, 1, 0), (4, 17, 8)] {
+            let c = Conv2d::new(ic, 8, f, 1, pad, false, Backend::ImcolWinograd, 1);
+            assert!(!c.uses_winograd(), "{}", c.name());
+        }
     }
 
     #[test]

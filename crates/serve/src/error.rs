@@ -5,7 +5,9 @@
 //! failures (`QueueFull`, `UnknownBucket`, an input that does not match the
 //! bucket's shape, a deadline already in the past) surface synchronously
 //! from [`crate::Server::submit`]; everything later arrives through the
-//! request's [`crate::Ticket`].
+//! request's [`crate::Ticket`]. A server that cannot be built (no buckets,
+//! a repeated label, a filter bank that does not match its shape) fails
+//! from [`crate::ServerBuilder::build`] with one of these too.
 
 use iwino_core::ConvError;
 use std::fmt;
@@ -24,6 +26,10 @@ pub enum ServeError {
     ShuttingDown,
     /// No bucket is registered under this label.
     UnknownBucket { label: String },
+    /// The server was built with no bucket at all.
+    NoBuckets,
+    /// Two buckets were registered under the same label.
+    DuplicateBucket { label: String },
     /// Planning or executing the convolution failed. Also raised
     /// synchronously at submit when the input tensor's dimensions disagree
     /// with the bucket's registered shape.
@@ -44,6 +50,8 @@ impl fmt::Display for ServeError {
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down; no new requests accepted"),
             ServeError::UnknownBucket { label } => write!(f, "no serving bucket registered under label {label:?}"),
+            ServeError::NoBuckets => write!(f, "a server needs at least one bucket"),
+            ServeError::DuplicateBucket { label } => write!(f, "bucket label {label:?} is registered twice"),
             ServeError::Conv(e) => write!(f, "convolution failed: {e}"),
         }
     }

@@ -24,7 +24,7 @@ use crate::error::ServeError;
 use crate::stats::{BucketStats, ServerStats};
 use iwino_core::error::expect_dims;
 use iwino_core::Epilogue;
-use iwino_engine::{ConvAlgorithm, Engine, EngineStats, Handle, SelectionPolicy};
+use iwino_engine::{ConvAlgorithm, Engine, EngineStats, Handle};
 use iwino_obs::{self as obs, Counter, HistSite};
 use iwino_parallel::{default_threads, ThreadPool};
 use iwino_tensor::{ConvShape, Tensor4};
@@ -154,7 +154,7 @@ struct Shared {
 /// Builds a [`Server`] from a set of shape buckets.
 pub struct ServerBuilder {
     config: ServeConfig,
-    buckets: Vec<(String, ConvShape, Tensor4<f32>, SelectionPolicy)>,
+    buckets: Vec<(String, ConvShape, Tensor4<f32>)>,
 }
 
 impl ServerBuilder {
@@ -166,44 +166,35 @@ impl ServerBuilder {
     }
 
     /// Register a bucket under the engine's §5.7 heuristic policy.
-    pub fn bucket(self, label: &str, shape: ConvShape, weights: Tensor4<f32>) -> ServerBuilder {
-        self.bucket_with_policy(label, shape, weights, SelectionPolicy::Heuristic)
-    }
-
-    /// Register a bucket with an explicit backend-selection policy.
-    pub fn bucket_with_policy(
-        mut self,
-        label: &str,
-        shape: ConvShape,
-        weights: Tensor4<f32>,
-        policy: SelectionPolicy,
-    ) -> ServerBuilder {
-        self.buckets.push((label.to_string(), shape, weights, policy));
+    pub fn bucket(mut self, label: &str, shape: ConvShape, weights: Tensor4<f32>) -> ServerBuilder {
+        self.buckets.push((label.to_string(), shape, weights));
         self
     }
 
-    /// Validate every bucket (weights match the shape, the policy resolves
-    /// to a registered backend), spawn the coalescer, and start serving.
-    /// The server owns a private engine whose plan cache is sized to the
-    /// bucket count, so steady-state traffic never evicts a resident plan.
+    /// Validate every bucket (at least one, labels unique, weights match
+    /// the shape), spawn the coalescer, and start serving. The server owns
+    /// a private engine whose plan cache is sized to the bucket count, so
+    /// steady-state traffic never evicts a resident plan.
     pub fn build(self) -> Result<Server, ServeError> {
-        assert!(!self.buckets.is_empty(), "a server needs at least one bucket");
+        if self.buckets.is_empty() {
+            return Err(ServeError::NoBuckets);
+        }
         let engine = Engine::with_plan_capacity(self.buckets.len());
         let mut buckets = Vec::with_capacity(self.buckets.len());
         let mut by_label = HashMap::new();
-        for (label, shape, weights, policy) in self.buckets {
+        for (label, shape, weights) in self.buckets {
             expect_dims("filter", weights.dims(), shape.w_dims()).map_err(ServeError::Conv)?;
-            let algo = engine.resolve(&policy, &shape)?;
-            assert!(
-                by_label.insert(label.clone(), buckets.len()).is_none(),
-                "duplicate bucket label {label:?}"
-            );
+            if by_label.insert(label.clone(), buckets.len()).is_some() {
+                return Err(ServeError::DuplicateBucket { label });
+            }
+            let handle = Handle::default();
+            let algo = engine.resolve(&handle.policy, &shape)?;
             buckets.push(Bucket {
                 stats: BucketStats::new(label.clone()),
                 label,
                 shape,
                 weights,
-                handle: Handle::new(policy),
+                handle,
                 algo,
             });
         }
@@ -523,6 +514,25 @@ mod tests {
         assert!(matches!(srv.submit("only", bad, None), Err(ServeError::Conv(_))));
         // Neither failed submit entered the admission pipeline.
         assert_eq!(srv.shutdown().admitted(), 0);
+    }
+
+    #[test]
+    fn builder_rejects_an_empty_bucket_list() {
+        assert!(matches!(
+            ServerBuilder::new(ServeConfig::default()).build(),
+            Err(ServeError::NoBuckets)
+        ));
+    }
+
+    #[test]
+    fn builder_rejects_a_duplicate_label() {
+        let s = ConvShape::square(1, 6, 2, 3, 3);
+        let t = ConvShape::square(1, 8, 2, 3, 3);
+        let built = ServerBuilder::new(ServeConfig::default())
+            .bucket("b", s, square_weights(&s, 6))
+            .bucket("b", t, square_weights(&t, 7))
+            .build();
+        assert_eq!(built.err(), Some(ServeError::DuplicateBucket { label: "b".into() }));
     }
 
     #[test]

@@ -237,7 +237,7 @@ pub fn clear_force_override() {
     DISPATCH.store(0, Ordering::Relaxed); // ORDERING: as above
 }
 
-/// The ISA [`resolve`] would pick with no force-scalar override.
+/// The ISA `resolve` would pick with no force-scalar override.
 pub fn native_isa() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {

@@ -24,7 +24,7 @@ impl ErrorStats {
     /// Compare a result against the ground truth element by element.
     ///
     /// Elements whose true value is exactly zero are compared by absolute
-    /// error instead (they cannot occur in the paper's uniform-[1,2] setup,
+    /// error instead (they cannot occur in the paper's uniform-`[1,2]` setup,
     /// where every output is a sum of positive products, but the library
     /// should not divide by zero on other inputs).
     pub fn between<T: Scalar, U: Scalar>(got: &Tensor4<T>, want: &Tensor4<U>) -> ErrorStats {

@@ -170,7 +170,7 @@ impl PairedTransform {
     /// This is the NHWC-friendly layout: the lanes are contiguous channels,
     /// so the inner loops vectorise along the channel axis, exactly the
     /// access-continuity argument of §3/§4.2. Channels are swept in
-    /// [`CHUNK`]-wide blocks (8 SIMD lanes) held in stack accumulators — no
+    /// `CHUNK`-wide blocks (8 SIMD lanes) held in stack accumulators — no
     /// heap traffic on this hot path — with one remainder block for
     /// `width % CHUNK`; each block runs on the runtime-dispatched
     /// `iwino_simd` `transform_step` microkernel (AVX2/NEON/scalar, all

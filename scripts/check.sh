@@ -67,12 +67,13 @@ echo "== repository benchmark: smoke (native + forced-scalar dispatch) =="
 cargo run --offline --release -q --manifest-path benchmark/Cargo.toml -- smoke
 IWINO_FORCE_SCALAR=1 cargo run --offline --release -q --manifest-path benchmark/Cargo.toml -- smoke
 
-echo "== engine smoke (every registry backend vs the f64 reference) =="
-# Drives all of BACKEND_NAMES by name through iwino-engine, checks each
-# against direct_conv_f64_ref, then drives the training backward passes
-# (Engine::backward_data at stride 1 and 2, Engine::filter_grad) against the
-# adjoint identity in f64, and prints plan-cache/arena stats. Exits nonzero
-# if any backend or pass fails to plan, run, or agree.
+echo "== engine smoke (both registry backends vs the f64 reference) =="
+# Drives both BACKEND_NAMES (im2col-winograd, im2col-indirect) by name
+# through iwino-engine, checks each against direct_conv_f64_ref, then
+# drives the training backward passes (Engine::backward_data at stride 1
+# and 2, Engine::filter_grad) against the adjoint identity in f64, and
+# prints plan-cache/arena stats. Exits nonzero if either backend or any
+# pass fails to plan, run, or agree.
 cargo run --offline --release -p iwino-bench --bin repro -- engine
 
 echo "== ND extension end to end (native + forced-scalar dispatch) =="
@@ -81,6 +82,12 @@ echo "== ND extension end to end (native + forced-scalar dispatch) =="
 # max mixed error against the f64 direct reference stays below 1e-3.
 cargo run --offline --release -q --example volumetric_conv3d
 IWINO_FORCE_SCALAR=1 cargo run --offline --release -q --example volumetric_conv3d
+
+echo "== rustdoc (deny warnings) =="
+# Broken or private intra-doc links fail here, including a link left
+# pointing at a deleted item. The vendored stand-ins are exempt, as from
+# the #[ignore] rule: they mirror upstream APIs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --exclude proptest --exclude rand --exclude criterion
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -7,11 +7,12 @@
 //! * [`core`] — the paper's algorithm: unit-stride `Γα(n, r)`
 //!   convolution, deconvolution, the boundary planner, and the §4.2 ND
 //!   extension;
-//! * [`engine`] — the one dispatch surface: algorithm registry, per-shape
-//!   plan cache (transformed-filter banks built once), arena-backed
-//!   workspace pool, and the §5.7 selection policy (Γ or the indirect GEMM);
-//! * [`baselines`] — direct / NCHW im2col-GEMM / fused 2-D Winograd / FFT
-//!   comparators;
+//! * [`engine`] — the one dispatch surface: a registry of exactly the two
+//!   algorithms the §5.7 selection policy returns (Γ or the indirect GEMM),
+//!   per-shape plan cache (transformed-filter banks built once) and
+//!   arena-backed workspace pool;
+//! * [`baselines`] — direct / NCHW im2col-GEMM / fused 2-D Winograd
+//!   comparators and test references, called directly;
 //! * [`gemm`] — the packed, register-blocked SGEMM behind every GEMM-class
 //!   path (Goto-style cache blocking, ISA-dispatched 6×16 register tile);
 //! * [`indirect`] — the indirect-convolution backend: per-shape offset
