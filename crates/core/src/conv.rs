@@ -360,18 +360,6 @@ impl PreparedConv {
         // The paper's GFLOP/s convention: count the FLOPs of the standard
         // convolution producing the same output, whatever kernel runs.
         obs::add(obs::Counter::Flops, (s.flops() * (od * depth.fd) as f64) as u64);
-        if obs::enabled() {
-            // Stamp the metrics document with the dispatched microkernel ISA
-            // so cross-run comparisons can detect (and refuse) cross-ISA
-            // diffs. One cheap struct clone per recorded run.
-            let d = simd::dispatch_info();
-            obs::set_dispatch_report(obs::DispatchReport {
-                isa: d.isa.to_string(),
-                lane_width: d.lane_width,
-                forced_scalar: d.forced_scalar,
-                features: d.features.iter().map(|f| f.to_string()).collect(),
-            });
-        }
 
         let row_elems = ow * s.oc;
         let img_elems = depth.id * s.ih * s.iw * s.ic;

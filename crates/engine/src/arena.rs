@@ -5,9 +5,9 @@
 //! selected (strided or deep-K shapes, or a Γ boundary remainder), the
 //! serving loop should not hit the allocator on every call. The pool keeps
 //! returned buffers on a free list, hands the smallest sufficient one back
-//! out on checkout, and reports hits/misses/high-water bytes both through
-//! its own counters (always on, for [`crate::Engine::stats`]) and through
-//! `iwino-obs` (gated, for the metrics-JSON export).
+//! out on checkout, and counts hits/misses/high-water bytes itself (always
+//! on, read through [`crate::Engine::stats`]); the checkout span is the
+//! only thing it records into `iwino-obs`.
 
 use iwino_gemm::ScratchProvider;
 use iwino_obs as obs;
@@ -65,7 +65,6 @@ impl WorkspacePool {
             self.held.fetch_sub((-delta_bytes) as u64, Ordering::Relaxed) - (-delta_bytes) as u64
         };
         self.high_water.fetch_max(now, Ordering::Relaxed); // ORDERING: as above
-        obs::maximize(obs::Counter::ArenaBytesHighWater, now);
     }
 }
 
@@ -93,7 +92,6 @@ impl ScratchProvider for WorkspacePool {
                 // never left the pool), so only the counters move.
                 // ORDERING: Relaxed — monotonic stats counter (see stats()).
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::add(obs::Counter::ArenaHits, 1);
                 buf.clear();
                 buf.resize(len, 0.0);
                 buf
@@ -101,7 +99,6 @@ impl ScratchProvider for WorkspacePool {
             None => {
                 // ORDERING: Relaxed — monotonic stats counter (see stats()).
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                obs::add(obs::Counter::ArenaMisses, 1);
                 self.note_held(len as i64 * 4);
                 vec![0.0; len]
             }

@@ -8,7 +8,6 @@
 //! per `(algorithm, shape, filter, direction)` key.
 
 use crate::ConvPlan;
-use iwino_obs as obs;
 use iwino_tensor::ConvShape;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,12 +67,10 @@ impl PlanCache {
             Some(e) => {
                 e.tick = clock;
                 self.hits += 1;
-                obs::add(obs::Counter::EnginePlanHits, 1);
                 Some(Arc::clone(&e.plan))
             }
             None => {
                 self.misses += 1;
-                obs::add(obs::Counter::EnginePlanMisses, 1);
                 None
             }
         }
@@ -86,7 +83,6 @@ impl PlanCache {
             if let Some(victim) = self.entries.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k.clone()) {
                 self.entries.remove(&victim);
                 self.evictions += 1;
-                obs::add(obs::Counter::EnginePlanEvictions, 1);
             }
         }
         self.entries.insert(key, Entry { plan, tick: self.clock });

@@ -162,6 +162,27 @@ pub struct EngineStats {
     pub arena: ArenaStats,
 }
 
+impl EngineStats {
+    /// The `"engine"` section of a metrics document.
+    pub fn to_json(&self) -> obs::Json {
+        obs::Json::obj(vec![
+            ("plan_hits", obs::Json::from(self.plan_hits)),
+            ("plan_misses", obs::Json::from(self.plan_misses)),
+            ("plan_evictions", obs::Json::from(self.plan_evictions)),
+            ("plans_cached", obs::Json::from(self.plans_cached)),
+            ("plan_resident_bytes", obs::Json::from(self.plan_resident_bytes)),
+            (
+                "arena",
+                obs::Json::obj(vec![
+                    ("hits", obs::Json::from(self.arena.hits)),
+                    ("misses", obs::Json::from(self.arena.misses)),
+                    ("bytes_high_water", obs::Json::from(self.arena.bytes_high_water)),
+                ]),
+            ),
+        ])
+    }
+}
+
 /// The dispatch surface: registry + plan cache + arena.
 pub struct Engine {
     registry: Vec<Arc<dyn ConvAlgorithm>>,
@@ -405,6 +426,10 @@ mod tests {
         assert_eq!(st.plan_misses, 1);
         assert_eq!(st.plan_hits, 1);
         assert!(st.plan_resident_bytes > 0);
+        let doc = st.to_json();
+        assert_eq!(doc.get("plan_misses").and_then(obs::Json::as_u64), Some(1));
+        assert_eq!(doc.get("plans_cached").and_then(obs::Json::as_u64), Some(1));
+        assert!(doc.get("arena").and_then(|a| a.get("misses")).is_some());
     }
 
     #[test]

@@ -431,17 +431,6 @@ fn gemm_blocked(
         }
         return;
     }
-    if obs::enabled() {
-        // Stamp the metrics document with the dispatched ISA, same as the Γ
-        // path in core — GEMM-only runs must also refuse cross-ISA diffs.
-        let d = iwino_simd::dispatch_info();
-        obs::set_dispatch_report(obs::DispatchReport {
-            isa: d.isa.to_string(),
-            lane_width: d.lane_width,
-            forced_scalar: d.forced_scalar,
-            features: d.features.iter().map(|f| f.to_string()).collect(),
-        });
-    }
     let kern = microkernel();
     let kc_max = KC.min(k);
     let parts = par::SliceParts::new(c, MC * n);

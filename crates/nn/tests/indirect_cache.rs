@@ -5,9 +5,11 @@
 //! state.
 //!
 //! Lives in its own integration-test binary, as a single test fn, because
-//! the obs counters it asserts on are process-global: a concurrent engine
-//! convolution in the same process would race the `== 0` assertions.
+//! the global engine and the obs counters it asserts on are process-wide: a
+//! concurrent engine convolution in the same process would race the `== 0`
+//! assertions.
 
+use iwino_engine::Engine;
 use iwino_nn::{Backend, Conv2d, Layer};
 use iwino_obs as obs;
 use iwino_tensor::{ConvShape, Tensor4};
@@ -27,15 +29,17 @@ fn indirect_table_builds_once_and_steady_state_misses_nothing() {
     // indirection table, sized by the shape's (OH·OW × FH·FW) geometry.
     obs::set_enabled(true);
     obs::reset();
+    let start = Engine::global().stats();
     let warm = layer.forward(&x, false);
     let cold = obs::snapshot();
+    let warmed = Engine::global().stats();
     let table_bytes = (s.oh() * s.ow() * s.fh * s.fw * std::mem::size_of::<usize>()) as u64;
     assert_eq!(
         cold.counter(obs::Counter::IndirectTableBytes),
         table_bytes,
         "cold forward must build exactly one indirection table"
     );
-    assert_eq!(cold.counter(obs::Counter::EnginePlanMisses), 1);
+    assert_eq!(warmed.plan_misses - start.plan_misses, 1);
     assert!(
         cold.stage_ns(obs::Stage::IndirectSetup) > 0 || cold.counter(obs::Counter::IndirectTableBytes) > 0,
         "table build must be attributed to the IndirectSetup stage"
@@ -49,20 +53,20 @@ fn indirect_table_builds_once_and_steady_state_misses_nothing() {
         assert_eq!(y.as_slice(), warm.as_slice(), "cached plan must be bit-identical");
     }
     let steady = obs::snapshot();
+    let after = Engine::global().stats();
     obs::set_enabled(false);
     assert_eq!(
         steady.counter(obs::Counter::IndirectTableBytes),
         0,
         "steady-state forwards must not rebuild the indirection table"
     );
-    assert_eq!(steady.counter(obs::Counter::EnginePlanMisses), 0, "no plan rebuilds");
+    assert_eq!(after.plan_misses, warmed.plan_misses, "no plan rebuilds");
     assert!(
-        steady.counter(obs::Counter::EnginePlanHits) >= 4,
+        after.plan_hits - warmed.plan_hits >= 4,
         "forwards must hit the plan cache"
     );
     assert_eq!(
-        steady.counter(obs::Counter::ArenaMisses),
-        0,
+        after.arena.misses, warmed.arena.misses,
         "steady-state A-panel scratch must come off the arena free list"
     );
     assert_eq!(layer.cached_bytes(), 0, "inference must not cache activations");

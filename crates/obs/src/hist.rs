@@ -19,17 +19,16 @@ pub const N_HIST_BUCKETS: usize = 40;
 /// Histogram sites: one per [`Stage`], the two engine plan-cache outcomes
 /// (a hit is a mutex-guarded map lookup, a miss additionally pays the full
 /// plan build — their latency distributions are different beasts), and the
-/// three serving-layer sites fed by `iwino-serve` (queue wait, batch
-/// execution, and end-to-end request latency).
-pub const N_HIST_SITES: usize = N_STAGES + 5;
+/// two serving-layer sites fed by `iwino-serve` (queue wait and batch
+/// execution).
+pub const N_HIST_SITES: usize = N_STAGES + 4;
 
 /// A latency-histogram site. Stage sites are fed automatically by
 /// [`crate::span`] / [`crate::add_stage_ns`]; the plan-cache sites are fed
 /// explicitly by `iwino-engine` through [`crate::record_latency`], and the
-/// serve sites by `iwino-serve` (which additionally keeps *per-bucket*
-/// histograms of its own, built on the same [`bucket_index`] /
-/// [`HistogramSummary`] machinery — these global sites aggregate across
-/// buckets).
+/// serve sites by `iwino-serve`. End-to-end request latency is not a site
+/// here: each server keeps it per bucket (on the same [`bucket_index`] /
+/// [`HistogramSummary`] machinery) and reports it through its own stats.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HistSite {
     Stage(Stage),
@@ -39,8 +38,6 @@ pub enum HistSite {
     ServeQueueWait,
     /// One coalesced batch's execution (plan lookup + image fan-out).
     ServeBatch,
-    /// Admission → response, per served request.
-    ServeE2e,
 }
 
 impl HistSite {
@@ -52,7 +49,6 @@ impl HistSite {
             HistSite::EnginePlanMiss => N_STAGES + 1,
             HistSite::ServeQueueWait => N_STAGES + 2,
             HistSite::ServeBatch => N_STAGES + 3,
-            HistSite::ServeE2e => N_STAGES + 4,
         }
     }
 
@@ -63,7 +59,6 @@ impl HistSite {
             HistSite::EnginePlanMiss => "engine_plan_miss",
             HistSite::ServeQueueWait => "serve_queue_wait",
             HistSite::ServeBatch => "serve_batch",
-            HistSite::ServeE2e => "serve_e2e",
         }
     }
 
@@ -79,7 +74,6 @@ impl HistSite {
         out[N_STAGES + 1] = HistSite::EnginePlanMiss;
         out[N_STAGES + 2] = HistSite::ServeQueueWait;
         out[N_STAGES + 3] = HistSite::ServeBatch;
-        out[N_STAGES + 4] = HistSite::ServeE2e;
         out
     }
 }

@@ -16,11 +16,16 @@
 //! * [`trace_span`] / [`export_chrome_trace`] — a flight recorder of
 //!   begin/end events in bounded per-thread rings, exported as a
 //!   Perfetto-loadable Chrome Trace timeline (see [`trace`]);
-//! * [`PoolReport`] — per-worker thread-pool utilization, filled in by
-//!   `iwino-parallel`;
-//! * [`DispatchReport`] — detected CPU features and the dispatched
-//!   microkernel ISA, filled in by `iwino-core` from `iwino-simd`;
-//! * [`MetricsReport`] — a JSON-serializable snapshot of all of the above.
+//! * [`PoolReport`] — the shape of a thread pool's per-lane utilization
+//!   report; `iwino-parallel`'s `ThreadPool::report` builds it;
+//! * [`MetricsReport`] — a JSON-serializable snapshot of all of the above,
+//!   plus named sections the caller pulls from the objects that own the
+//!   other statistics (engine, pool, microkernel dispatch).
+//!
+//! Obs counts only what no other object owns. Plan-cache, arena and
+//! serving counters live in the engine and the server (`Engine::stats`,
+//! `Server::stats`), so two engines or two servers in one process never
+//! sum into each other's numbers.
 //!
 //! Timers, counters and histograms are gated on a process-wide [`enabled`]
 //! flag; the flight recorder has its own [`trace_enabled`] gate. Each gate
@@ -148,11 +153,6 @@ impl Stage {
 /// convolution producing the same output, so GFLOP/s stays comparable
 /// across algorithms (a Winograd kernel that does fewer real operations
 /// reports a higher achieved rate, exactly as in Figure 8/9).
-///
-/// The `Serve*` counters are fed by `iwino-serve` and obey the accounting
-/// identity `serve_admitted = serve_served + serve_rejected + serve_expired`
-/// once a server has drained: every request presented for admission is
-/// eventually answered exactly one way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
     Flops,
@@ -164,25 +164,13 @@ pub enum Counter {
     PlanCalls,
     PlanGammaSegments,
     PlanGemmSegments,
-    EnginePlanHits,
-    EnginePlanMisses,
-    EnginePlanEvictions,
-    ArenaHits,
-    ArenaMisses,
-    ArenaBytesHighWater,
     GemmPackedABytes,
     GemmPackedBBytes,
     IndirectTableBytes,
-    ServeAdmitted,
-    ServeRejected,
-    ServeExpired,
-    ServeServed,
-    ServeBatches,
-    ServeQueueDepthHighWater,
 }
 
 impl Counter {
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 12] = [
         Counter::Flops,
         Counter::BytesLoaded,
         Counter::BytesStored,
@@ -192,21 +180,9 @@ impl Counter {
         Counter::PlanCalls,
         Counter::PlanGammaSegments,
         Counter::PlanGemmSegments,
-        Counter::EnginePlanHits,
-        Counter::EnginePlanMisses,
-        Counter::EnginePlanEvictions,
-        Counter::ArenaHits,
-        Counter::ArenaMisses,
-        Counter::ArenaBytesHighWater,
         Counter::GemmPackedABytes,
         Counter::GemmPackedBBytes,
         Counter::IndirectTableBytes,
-        Counter::ServeAdmitted,
-        Counter::ServeRejected,
-        Counter::ServeExpired,
-        Counter::ServeServed,
-        Counter::ServeBatches,
-        Counter::ServeQueueDepthHighWater,
     ];
 
     pub fn name(self) -> &'static str {
@@ -220,28 +196,10 @@ impl Counter {
             Counter::PlanCalls => "plan_calls",
             Counter::PlanGammaSegments => "plan_gamma_segments",
             Counter::PlanGemmSegments => "plan_gemm_segments",
-            Counter::EnginePlanHits => "engine_plan_hits",
-            Counter::EnginePlanMisses => "engine_plan_misses",
-            Counter::EnginePlanEvictions => "engine_plan_evictions",
-            Counter::ArenaHits => "arena_hits",
-            Counter::ArenaMisses => "arena_misses",
-            Counter::ArenaBytesHighWater => "arena_bytes_high_water",
             Counter::GemmPackedABytes => "gemm_packed_a_bytes",
             Counter::GemmPackedBBytes => "gemm_packed_b_bytes",
             Counter::IndirectTableBytes => "indirect_table_bytes",
-            Counter::ServeAdmitted => "serve_admitted",
-            Counter::ServeRejected => "serve_rejected",
-            Counter::ServeExpired => "serve_expired",
-            Counter::ServeServed => "serve_served",
-            Counter::ServeBatches => "serve_batches",
-            Counter::ServeQueueDepthHighWater => "serve_queue_depth_high_water",
         }
-    }
-
-    /// High-water counters record a maximum, not a running sum — both
-    /// [`maximize`] (per slot) and [`snapshot`] (across slots) take the max.
-    pub fn is_high_water(self) -> bool {
-        matches!(self, Counter::ArenaBytesHighWater | Counter::ServeQueueDepthHighWater)
     }
 }
 
@@ -304,21 +262,6 @@ fn registry() -> &'static Mutex<Vec<Arc<Slot>>> {
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn pool_slot() -> &'static Mutex<Option<PoolReport>> {
-    static POOL: OnceLock<Mutex<Option<PoolReport>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(None))
-}
-
-fn dispatch_slot() -> &'static Mutex<Option<DispatchReport>> {
-    static DISPATCH: OnceLock<Mutex<Option<DispatchReport>>> = OnceLock::new();
-    DISPATCH.get_or_init(|| Mutex::new(None))
-}
-
-fn serve_slot() -> &'static Mutex<Option<ServeReport>> {
-    static SERVE: OnceLock<Mutex<Option<ServeReport>>> = OnceLock::new();
-    SERVE.get_or_init(|| Mutex::new(None))
-}
-
 thread_local! {
     static SLOT: Arc<Slot> = {
         let slot = Arc::new(Slot::new());
@@ -344,15 +287,12 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Zero every slot on every thread and drop any stored pool/dispatch
-/// report. Call between runs to attribute metrics to a single workload.
+/// Zero every slot on every thread. Call between runs to attribute metrics
+/// to a single workload.
 pub fn reset() {
     for slot in registry().lock().unwrap().iter() {
         slot.reset();
     }
-    *pool_slot().lock().unwrap() = None;
-    *dispatch_slot().lock().unwrap() = None;
-    *serve_slot().lock().unwrap() = None;
 }
 
 /// Scoped timer: accumulates elapsed nanoseconds (total, hit count and a
@@ -447,23 +387,6 @@ pub fn add(counter: Counter, n: u64) {
     }
 }
 
-/// Raise a high-water counter to at least `v`. No-op while disabled.
-/// Intended for [`Counter::is_high_water`] counters such as
-/// `ArenaBytesHighWater`; [`snapshot`] max-aggregates those across slots.
-#[inline(always)]
-pub fn maximize(counter: Counter, v: u64) {
-    if enabled() {
-        SLOT.with(|slot| {
-            // ORDERING: Relaxed — fetch_max keeps each slot's value the
-            // running maximum of its own updates; cross-slot aggregation
-            // happens in [`snapshot`] after the workload quiesces, with the
-            // happens-before supplied by the registry mutex (same argument
-            // as [`Span::drop`]).
-            slot.counters[counter as usize].fetch_max(v, Ordering::Relaxed);
-        });
-    }
-}
-
 /// Per-lane thread-pool statistics. Lane 0 is the submitting caller, which
 /// participates in every job (see `iwino-parallel`).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -475,9 +398,9 @@ pub struct PoolWorkerStats {
     pub idle_ns: u64,
 }
 
-/// Pool-wide utilization aggregated over every job since the last
-/// [`reset`]. Produced by `iwino-parallel`, stored here so a
-/// [`MetricsReport`] can pick it up without a dependency cycle.
+/// Pool-wide utilization aggregated over every recorded job. Built by
+/// `iwino-parallel`'s `ThreadPool::report`; it lives here because obs is
+/// the crate that knows how to serialize it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PoolReport {
     pub threads: usize,
@@ -538,137 +461,6 @@ impl PoolReport {
     }
 }
 
-/// Store the cumulative pool report (called by `iwino-parallel` after each
-/// job while recording is on; later stores replace earlier ones because
-/// the report is cumulative).
-pub fn set_pool_report(report: PoolReport) {
-    *pool_slot().lock().unwrap() = Some(report);
-}
-
-pub fn pool_report() -> Option<PoolReport> {
-    pool_slot().lock().unwrap().clone()
-}
-
-/// Which microkernel path a measured run actually executed. Produced by
-/// `iwino-core` from `iwino_simd::dispatch_info()` while recording is on,
-/// stored here so a [`MetricsReport`] can pick it up without a dependency
-/// cycle (the same pattern as [`PoolReport`]). Consumers use it to refuse
-/// apples-to-oranges comparisons between runs dispatched to different ISAs.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DispatchReport {
-    /// Dispatched ISA name (`"avx2+fma"`, `"neon"`, `"scalar"`).
-    pub isa: String,
-    /// f32 elements per explicit vector op of the dispatched path.
-    pub lane_width: usize,
-    /// Whether a force-scalar override (env or programmatic) was active.
-    pub forced_scalar: bool,
-    /// CPU features detected on the host, independent of dispatch.
-    pub features: Vec<String>,
-}
-
-impl DispatchReport {
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("isa", Json::from(self.isa.as_str())),
-            ("lane_width", Json::from(self.lane_width)),
-            ("forced_scalar", Json::from(self.forced_scalar)),
-            (
-                "features",
-                Json::Arr(self.features.iter().map(|f| Json::from(f.as_str())).collect()),
-            ),
-        ])
-    }
-}
-
-/// Store the dispatch report for the current run (later stores replace
-/// earlier ones; the dispatched path can only change via an explicit
-/// force-scalar toggle, so last-write-wins describes the run).
-pub fn set_dispatch_report(report: DispatchReport) {
-    *dispatch_slot().lock().unwrap() = Some(report);
-}
-
-pub fn dispatch_report() -> Option<DispatchReport> {
-    dispatch_slot().lock().unwrap().clone()
-}
-
-/// One shape bucket's serving statistics. Produced by `iwino-serve`, stored
-/// here so a [`MetricsReport`] can pick it up without a dependency cycle
-/// (the same pattern as [`PoolReport`]). The quantiles come from the
-/// server's per-bucket log2 histograms (the [`hist`] machinery), so a
-/// metrics document shows each bucket's latency tail — the global
-/// [`HistSite::ServeE2e`] site only aggregates across buckets.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServeBucketReport {
-    pub label: String,
-    /// Requests presented for admission (including those bounced).
-    pub admitted: u64,
-    pub served: u64,
-    pub rejected: u64,
-    pub expired: u64,
-    /// Coalesced batches executed for this bucket.
-    pub batches: u64,
-    /// Largest batch the coalescer formed for this bucket.
-    pub max_batch: u64,
-    /// Deepest the bounded queue ever got.
-    pub queue_depth_high_water: u64,
-    pub p50_e2e_ns: u64,
-    pub p99_e2e_ns: u64,
-}
-
-impl ServeBucketReport {
-    /// Served requests per executed batch — the amortization the serving
-    /// layer exists to buy (1.0 means coalescing bought nothing).
-    pub fn coalesce_factor(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.served as f64 / self.batches as f64
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("label", Json::from(self.label.as_str())),
-            ("admitted", Json::from(self.admitted)),
-            ("served", Json::from(self.served)),
-            ("rejected", Json::from(self.rejected)),
-            ("expired", Json::from(self.expired)),
-            ("batches", Json::from(self.batches)),
-            ("coalesce_factor", Json::from(self.coalesce_factor())),
-            ("max_batch", Json::from(self.max_batch)),
-            ("queue_depth_high_water", Json::from(self.queue_depth_high_water)),
-            ("p50_e2e_ns", Json::from(self.p50_e2e_ns)),
-            ("p99_e2e_ns", Json::from(self.p99_e2e_ns)),
-        ])
-    }
-}
-
-/// Per-bucket serving statistics for the whole server (see
-/// [`ServeBucketReport`]).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServeReport {
-    pub buckets: Vec<ServeBucketReport>,
-}
-
-impl ServeReport {
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![(
-            "buckets",
-            Json::Arr(self.buckets.iter().map(ServeBucketReport::to_json).collect()),
-        )])
-    }
-}
-
-/// Store the cumulative serve report (called by `iwino-serve` after each
-/// drained batch while recording is on; later stores replace earlier ones
-/// because the report is cumulative).
-pub fn set_serve_report(report: ServeReport) {
-    *serve_slot().lock().unwrap() = Some(report);
-}
-
-pub fn serve_report() -> Option<ServeReport> {
-    serve_slot().lock().unwrap().clone()
-}
-
 /// Point-in-time aggregate of every thread's slot.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
@@ -678,9 +470,6 @@ pub struct Snapshot {
     /// Flat histogram cells (site-major, [`N_HIST_BUCKETS`] per site);
     /// empty in a `Default` snapshot, which reads as all-zero buckets.
     hist: Vec<u64>,
-    pub pool: Option<PoolReport>,
-    pub dispatch: Option<DispatchReport>,
-    pub serve: Option<ServeReport>,
     /// Flight-recorder state at snapshot time, so a metrics document says
     /// whether (and how completely) a trace accompanies it.
     pub trace: TraceMeta,
@@ -732,9 +521,6 @@ impl Snapshot {
 /// Aggregate every registered thread slot into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {
     let mut snap = Snapshot {
-        pool: pool_report(),
-        dispatch: dispatch_report(),
-        serve: serve_report(),
         trace: trace::trace_meta(),
         hist: vec![0; N_HIST_CELLS],
         ..Snapshot::default()
@@ -751,13 +537,7 @@ pub fn snapshot() -> Snapshot {
             snap.stage_hits[i] += a.load(Ordering::Relaxed); // ORDERING: as above
         }
         for (i, a) in slot.counters.iter().enumerate() {
-            let v = a.load(Ordering::Relaxed); // ORDERING: as above
-            if Counter::ALL[i].is_high_water() {
-                // A per-slot maximum aggregates across slots by max, not sum.
-                snap.counters[i] = snap.counters[i].max(v);
-            } else {
-                snap.counters[i] += v;
-            }
+            snap.counters[i] += a.load(Ordering::Relaxed); // ORDERING: as above
         }
         for (i, a) in slot.hist.iter().enumerate() {
             snap.hist[i] += a.load(Ordering::Relaxed); // ORDERING: as above
@@ -821,37 +601,16 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_and_clears_pool_and_dispatch() {
+    fn reset_zeroes_counters() {
         let _g = guard();
         set_enabled(true);
         reset();
         add(Counter::BytesLoaded, 64);
-        set_pool_report(PoolReport {
-            threads: 2,
-            jobs: 1,
-            workers: vec![],
-        });
-        set_dispatch_report(DispatchReport {
-            isa: "avx2+fma".to_string(),
-            lane_width: 8,
-            forced_scalar: false,
-            features: vec!["avx2".to_string()],
-        });
-        set_serve_report(ServeReport {
-            buckets: vec![ServeBucketReport {
-                label: "b0".to_string(),
-                ..ServeBucketReport::default()
-            }],
-        });
-        assert_eq!(snapshot().dispatch.as_ref().map(|d| d.lane_width), Some(8));
-        assert_eq!(snapshot().serve.as_ref().map(|s| s.buckets.len()), Some(1));
+        assert_eq!(snapshot().counter(Counter::BytesLoaded), 64);
         reset();
         let snap = snapshot();
         set_enabled(false);
         assert_eq!(snap.counter(Counter::BytesLoaded), 0);
-        assert!(snap.pool.is_none());
-        assert!(snap.dispatch.is_none());
-        assert!(snap.serve.is_none());
     }
 
     #[test]
@@ -873,23 +632,6 @@ mod tests {
             .map(|&s| snap.stage_share(s))
             .sum();
         assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn high_water_counter_takes_max_not_sum() {
-        let _g = guard();
-        set_enabled(true);
-        reset();
-        maximize(Counter::ArenaBytesHighWater, 4096);
-        maximize(Counter::ArenaBytesHighWater, 1024); // lower: no effect
-        std::thread::spawn(|| maximize(Counter::ArenaBytesHighWater, 2048))
-            .join()
-            .unwrap();
-        let snap = snapshot();
-        set_enabled(false);
-        // Summed across slots this would read 4096 + 2048; a high-water
-        // mark must report the single largest value.
-        assert_eq!(snap.counter(Counter::ArenaBytesHighWater), 4096);
     }
 
     #[test]

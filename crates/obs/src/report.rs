@@ -1,6 +1,6 @@
 //! Structured metrics export: one JSON document per measured run.
 //!
-//! Schema (version 7). Version 2 added the `"kind"` discriminator so
+//! Schema (version 8). Version 2 added the `"kind"` discriminator so
 //! consumers can tell a metrics document from the static-analysis report
 //! the `analyzer` crate emits with the same `schema_version` ("metrics"
 //! here, "analysis" there); version 3 added the `"dispatch"` section
@@ -9,19 +9,24 @@
 //! the `"histograms"` section (log2-bucketed latency distributions with
 //! p50/p90/p99 per stage and per engine plan-cache outcome) and the
 //! `"trace_meta"` section describing the flight recorder's state; version 5
-//! adds the `"serve"` section (per-bucket batch-serving statistics filled
-//! in by `iwino-serve`: admission accounting, coalesce factor, queue-depth
-//! high water, per-bucket p50/p99) plus the `serve_*` counters and the
+//! added the `"serve"` section, the `serve_*` counters and the
 //! `serve_queue_wait` / `serve_batch` / `serve_e2e` histogram sites;
-//! version 6 adds the packed-GEMM sub-stages (`gemm_pack`, `gemm_kernel`)
+//! version 6 added the packed-GEMM sub-stages (`gemm_pack`, `gemm_kernel`)
 //! and the `gemm_packed_a_bytes` / `gemm_packed_b_bytes` counters reported
-//! by `iwino-gemm`; version 7 adds the `indirect_setup` stage and the
+//! by `iwino-gemm`; version 7 added the `indirect_setup` stage and the
 //! `indirect_table_bytes` counter reported by `iwino-indirect` when the
-//! indirect-convolution backend builds its offset table:
+//! indirect-convolution backend builds its offset table. Version 8 keeps
+//! in obs only what no other object owns: the `engine_plan_*`, `arena_*`
+//! and `serve_*` counters, the `serve_e2e` site and the `"serve"` section
+//! are gone, and every statistic owned elsewhere arrives as a named section
+//! the caller pulls from its owner at capture time. `repro` supplies
+//! `"pool"` (`ThreadPool::report`), `"dispatch"` (`iwino_simd::dispatch_info`,
+//! present even when no kernel ran) and `"engine"` (`Engine::stats`: plan
+//! hits, misses, evictions, plans cached, resident bytes and the arena):
 //!
 //! ```text
 //! {
-//!   "schema_version": 7,
+//!   "schema_version": 8,
 //!   "kind": "metrics",
 //!   "label": "<workload name>",
 //!   "wall_ns": <u64>,                    // end-to-end wall time
@@ -30,15 +35,7 @@
 //!   "histograms": { "<site>": {"count", "p50_ns", "p90_ns", "p99_ns",
 //!                              "buckets": [{"le_ns", "count"}, ...]}, ... },
 //!   "derived": { "gflops", "arithmetic_intensity", "bytes_total", ... },
-//!   "pool": { "threads", "jobs", "caller_share", "utilization",
-//!             "workers": [{"lane", "is_caller_lane", "chunks",
-//!                          "busy_ns", "idle_ns"}, ...] } | null,
-//!   "dispatch": { "isa", "lane_width", "forced_scalar",
-//!                 "features": ["sse2", ...] } | null,
-//!   "serve": { "buckets": [{"label", "admitted", "served", "rejected",
-//!                           "expired", "batches", "coalesce_factor",
-//!                           "max_batch", "queue_depth_high_water",
-//!                           "p50_e2e_ns", "p99_e2e_ns"}, ...] } | null,
+//!   "<section>": { ... }, ...            // caller-supplied, in order
 //!   "trace_meta": { "enabled", "ring_capacity", "threads", "events",
 //!                   "trace_events_dropped" }
 //! }
@@ -55,7 +52,7 @@ use std::path::Path;
 
 /// Version of the JSON layout emitted by [`MetricsReport::to_json`] (and
 /// shared by the analyzer's `"kind": "analysis"` documents).
-pub const SCHEMA_VERSION: u64 = 7;
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// A captured, self-describing metrics document.
 #[derive(Clone, Debug)]
@@ -63,6 +60,9 @@ pub struct MetricsReport {
     pub label: String,
     pub wall_ns: u64,
     pub snapshot: Snapshot,
+    /// Named sections pulled from the objects that own them, emitted in
+    /// order between `"derived"` and `"trace_meta"`.
+    pub sections: Vec<(String, Json)>,
 }
 
 impl MetricsReport {
@@ -73,7 +73,15 @@ impl MetricsReport {
             label: label.to_string(),
             wall_ns,
             snapshot: snapshot(),
+            sections: Vec::new(),
         }
+    }
+
+    /// Append a named section. The name must not be one of the fixed keys
+    /// of the document.
+    pub fn with_section(mut self, name: &str, value: Json) -> MetricsReport {
+        self.sections.push((name.to_string(), value));
+        self
     }
 
     /// Achieved GFLOP/s over the wall time. Uses the standard-convolution
@@ -172,20 +180,19 @@ impl MetricsReport {
                 }),
             ),
         ]);
-        Json::obj(vec![
-            ("schema_version", Json::from(SCHEMA_VERSION)),
-            ("kind", Json::from("metrics")),
-            ("label", Json::from(self.label.as_str())),
-            ("wall_ns", Json::from(self.wall_ns)),
-            ("stages", Json::Obj(stages)),
-            ("counters", Json::Obj(counters)),
-            ("histograms", Json::Obj(histograms)),
-            ("derived", derived),
-            ("pool", snap.pool.as_ref().map_or(Json::Null, |p| p.to_json())),
-            ("dispatch", snap.dispatch.as_ref().map_or(Json::Null, |d| d.to_json())),
-            ("serve", snap.serve.as_ref().map_or(Json::Null, |s| s.to_json())),
-            ("trace_meta", snap.trace.to_json()),
-        ])
+        let mut doc = vec![
+            ("schema_version".to_string(), Json::from(SCHEMA_VERSION)),
+            ("kind".to_string(), Json::from("metrics")),
+            ("label".to_string(), Json::from(self.label.as_str())),
+            ("wall_ns".to_string(), Json::from(self.wall_ns)),
+            ("stages".to_string(), Json::Obj(stages)),
+            ("counters".to_string(), Json::Obj(counters)),
+            ("histograms".to_string(), Json::Obj(histograms)),
+            ("derived".to_string(), derived),
+        ];
+        doc.extend(self.sections.iter().cloned());
+        doc.push(("trace_meta".to_string(), snap.trace.to_json()));
+        Json::Obj(doc)
     }
 
     /// Pretty-print the report to a file.
@@ -216,12 +223,6 @@ mod tests {
             add(Counter::RuseTiles, 4);
             add_stage_ns(Stage::OuterProduct, 750);
             add_stage_ns(Stage::InputTransform, 250);
-            crate::set_dispatch_report(crate::DispatchReport {
-                isa: "avx2+fma".to_string(),
-                lane_width: 8,
-                forced_scalar: false,
-                features: vec!["avx2".to_string(), "fma".to_string()],
-            });
             let snap = crate::snapshot();
             set_enabled(false);
             snap
@@ -230,22 +231,23 @@ mod tests {
             label: "unit".to_string(),
             wall_ns: 1_000_000,
             snapshot: snap,
-        };
+            sections: Vec::new(),
+        }
+        .with_section("dispatch", Json::obj(vec![("isa", Json::from("avx2+fma"))]));
         assert!((report.gflops() - 2.0).abs() < 1e-12);
         assert!((report.arithmetic_intensity() - 2.0).abs() < 1e-12);
         // 2e6 FLOPs over 750 ns in the outer product: 2666.67 "GFLOP/s".
         assert!((report.stage_gflops(Stage::OuterProduct) - 2_000_000.0 / 750.0).abs() < 1e-9);
         assert_eq!(report.stage_gflops(Stage::Epilogue), 0.0);
         let json = report.to_json().pretty();
-        assert!(json.contains("\"schema_version\": 7"));
+        assert!(json.contains("\"schema_version\": 8"));
         assert!(json.contains("\"kind\": \"metrics\""));
         assert!(json.contains("\"label\": \"unit\""));
         assert!(json.contains("\"outer_product\""));
         assert!(json.contains("\"ruse_tile_fraction\": 0.4"));
-        // Version 3: the dispatch section identifies the microkernel path.
+        // A caller-supplied section lands between `derived` and
+        // `trace_meta`.
         assert!(json.contains("\"isa\": \"avx2+fma\""));
-        assert!(json.contains("\"lane_width\": 8"));
-        assert!(json.contains("\"forced_scalar\": false"));
         // Stages with zero hits are omitted.
         assert!(!json.contains("\"baseline\""));
         // Version 4: histograms and trace metadata. The parsed form is
@@ -264,68 +266,26 @@ mod tests {
         let trace = doc.get("trace_meta").expect("trace_meta section");
         assert_eq!(trace.get("trace_events_dropped").and_then(Json::as_u64), Some(0));
         assert!(trace.get("ring_capacity").and_then(Json::as_u64).is_some());
+        let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(&keys[keys.len() - 3..], ["derived", "dispatch", "trace_meta"]);
     }
 
     #[test]
-    fn report_without_dispatch_serializes_null() {
+    fn report_without_sections_has_only_the_fixed_keys() {
         let report = MetricsReport {
             label: "empty".to_string(),
             wall_ns: 1,
             snapshot: Snapshot::default(),
+            sections: Vec::new(),
         };
         let json = report.to_json().pretty();
-        assert!(json.contains("\"dispatch\": null"));
-        assert!(json.contains("\"pool\": null"));
-        assert!(json.contains("\"serve\": null"));
+        let doc = Json::parse(&json).expect("valid JSON");
+        for key in ["pool", "dispatch", "engine", "serve"] {
+            assert!(doc.get(key).is_none(), "{key} is caller-supplied, not built in");
+        }
         // A default snapshot still carries the (all-zero) sections new in
         // version 4, so consumers can rely on their presence.
         assert!(json.contains("\"histograms\": {}"));
         assert!(json.contains("\"trace_events_dropped\": 0"));
-    }
-
-    #[test]
-    fn serve_section_reports_buckets_with_coalesce_factor() {
-        // Version 5: the serve section is attached through the snapshot
-        // slot, the same way pool/dispatch reports are.
-        let snap = Snapshot {
-            serve: Some(crate::ServeReport {
-                buckets: vec![crate::ServeBucketReport {
-                    label: "conv3x3_32".to_string(),
-                    admitted: 100,
-                    served: 80,
-                    rejected: 12,
-                    expired: 8,
-                    batches: 20,
-                    max_batch: 8,
-                    queue_depth_high_water: 16,
-                    p50_e2e_ns: 1023,
-                    p99_e2e_ns: 8191,
-                }],
-            }),
-            ..Default::default()
-        };
-        let report = MetricsReport {
-            label: "serve".to_string(),
-            wall_ns: 1,
-            snapshot: snap,
-        };
-        let json = report.to_json().pretty();
-        let doc = Json::parse(&json).expect("valid JSON");
-        let buckets = doc
-            .get("serve")
-            .and_then(|s| s.get("buckets"))
-            .and_then(Json::as_arr)
-            .expect("serve.buckets");
-        assert_eq!(buckets.len(), 1);
-        let b = &buckets[0];
-        assert_eq!(b.get("label").and_then(Json::as_str), Some("conv3x3_32"));
-        assert_eq!(b.get("admitted").and_then(Json::as_u64), Some(100));
-        // 80 served over 20 batches: the coalescer packed 4 requests per
-        // forward on average.
-        assert_eq!(b.get("coalesce_factor").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(b.get("p99_e2e_ns").and_then(Json::as_u64), Some(8191));
-        // The accounting identity the serve counters promise.
-        let (adm, s, r, e) = (100u64, 80u64, 12u64, 8u64);
-        assert_eq!(adm, s + r + e);
     }
 }

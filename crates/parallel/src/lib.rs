@@ -17,14 +17,13 @@
 //!
 //! Observability: while `iwino_obs::enabled()` is set, every pooled job
 //! additionally records per-lane chunk counts and busy/idle nanoseconds
-//! (lane 0 is the submitting caller). The cumulative [`obs::PoolReport`]
-//! is pushed into the obs registry after each job and is also available
-//! directly via [`ThreadPool::report`]. When recording is off, jobs take
+//! (lane 0 is the submitting caller) into the pool's own totals, read
+//! through [`ThreadPool::report`]. When recording is off, jobs take
 //! exactly the pre-instrumentation path (one branch on an `Option`).
 
 use iwino_obs as obs;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::Instant;
@@ -247,7 +246,6 @@ impl ThreadPool {
                 self.jobs.fetch_add(1, Ordering::Relaxed);
                 caller.chunks.fetch_add(1, Ordering::Relaxed);
                 caller.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                obs::set_pool_report(self.report());
             }
             return;
         }
@@ -301,30 +299,15 @@ impl ThreadPool {
         }
         if let Some(stats) = &job.stats {
             self.absorb_job_stats(stats, job_start.elapsed().as_nanos() as u64);
-            obs::set_pool_report(self.report());
         }
     }
 
-    /// Run `task` over `0..n` in contiguous ranges of at least `min_chunk`
-    /// indices — for kernels that amortise setup per range.
-    pub fn run_chunked(&self, n: usize, min_chunk: usize, task: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
-        if n == 0 {
-            return;
-        }
-        let min_chunk = min_chunk.max(1);
-        let pieces = n.div_ceil(min_chunk);
-        self.run(pieces, &|p| {
-            let start = p * min_chunk;
-            let end = (start + min_chunk).min(n);
-            task(start..end);
-        });
-    }
-
-    /// Cost-aware variant of [`ThreadPool::run_chunked`]: `cost(i)` estimates
-    /// the relative work of index `i` (absolute scale is irrelevant; zero is
-    /// treated as one), and `0..n` is cut into contiguous pieces of roughly
-    /// equal *total cost*, ~4 pieces per lane. With uniform costs this
-    /// degenerates to the fixed splitter; with skewed costs (e.g. boundary
+    /// Run `task` over `0..n` in contiguous ranges — for kernels that
+    /// amortise setup per range. `cost(i)` estimates the relative work of
+    /// index `i` (absolute scale is irrelevant; zero is treated as one), and
+    /// `0..n` is cut into contiguous pieces of roughly equal *total cost*,
+    /// ~4 pieces per lane. With uniform costs the pieces are near-equal in
+    /// length; with skewed costs (e.g. boundary
     /// output rows that intersect fewer filter rows) it keeps the expensive
     /// indices spread across lanes instead of letting one lane drag the
     /// tail. `cost` runs once per index on the submitting thread, so it must
@@ -485,49 +468,9 @@ pub fn parallel_for(n: usize, task: &(dyn Fn(usize) + Sync)) {
     global().run(n, task);
 }
 
-/// Convenience: `global().run_chunked(n, min_chunk, task)`.
-pub fn parallel_for_chunked(n: usize, min_chunk: usize, task: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
-    global().run_chunked(n, min_chunk, task);
-}
-
-/// Convenience: `global().run_chunked_weighted(n, cost, task)`.
-pub fn parallel_for_weighted(n: usize, cost: &dyn Fn(usize) -> u64, task: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
-    global().run_chunked_weighted(n, cost, task);
-}
-
 /// Zero the global pool's cumulative utilization stats.
 pub fn reset_global_stats() {
     global().reset_stats();
-}
-
-/// Marker used by tests to verify reentrancy handling is serial, not deadlock.
-pub fn in_worker() -> bool {
-    IN_WORKER.with(|f| f.get())
-}
-
-/// A lightweight atomic flag handy for one-shot signalling in tests.
-pub struct Flag(AtomicBool);
-
-impl Default for Flag {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Flag {
-    pub fn new() -> Self {
-        Flag(AtomicBool::new(false))
-    }
-    pub fn set(&self) {
-        // ORDERING: [handoff] the Release store pairs with the Acquire load
-        // in `get`, so writes sequenced before `set` are visible to a
-        // thread that observes the flag raised.
-        self.0.store(true, Ordering::Release);
-    }
-    pub fn get(&self) -> bool {
-        // ORDERING: [handoff] Acquire side of the pairing in `set`.
-        self.0.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]
@@ -590,26 +533,11 @@ mod tests {
         let count = AtomicUsize::new(0);
         let inner_pool = Arc::clone(&pool);
         pool.run(4, &|_| {
-            assert!(in_worker() || !in_worker()); // just exercise the TLS
             inner_pool.run(8, &|_| {
                 count.fetch_add(1, Ordering::Relaxed);
             });
         });
         assert_eq!(count.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn chunked_covers_range_without_overlap() {
-        let pool = ThreadPool::new(4);
-        let n = 1003;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_chunked(n, 64, &|range| {
-            assert!(range.len() <= 64);
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Stress tests for [`ThreadPool::run_chunked`] / [`run_chunked_weighted`]:
+//! Stress tests for [`ThreadPool::run_chunked_weighted`]:
 //! skewed per-index costs, a 1-thread pool, and a pool oversubscribed well
 //! past the core count. The invariants under test:
 //!
@@ -130,15 +130,16 @@ fn weighted_one_expensive_index_among_many() {
 }
 
 #[test]
-fn fixed_chunking_matches_weighted_coverage() {
+fn uniform_costs_cover_all_indices_on_one_and_many_lanes() {
     let _g = guard();
     for threads in [1usize, 32] {
         let pool = ThreadPool::new(threads);
-        for (n, min_chunk) in [(1000usize, 7usize), (97, 1), (5, 100)] {
+        for n in [1000usize, 97, 5] {
             let pieces = check_exactly_once(&pool, n, |p, task| {
-                p.run_chunked(n, min_chunk, task);
+                p.run_chunked_weighted(n, &|_| 1, task);
             });
-            assert_eq!(pieces as usize, n.div_ceil(min_chunk.max(1)));
+            // About four pieces per lane, never more pieces than indices.
+            assert!(pieces as usize <= (threads * 4).min(n));
         }
     }
 }
@@ -173,7 +174,9 @@ fn empty_range_is_a_noop() {
     let pool = ThreadPool::new(4);
     pool.reset_stats();
     pool.run_chunked_weighted(0, &|_| 1, &|_r| panic!("task must not run for n = 0"));
-    pool.run_chunked(0, 8, &|_r| panic!("task must not run for n = 0"));
+    pool.run_chunked_weighted(0, &|_| panic!("cost must not run for n = 0"), &|_r| {
+        panic!("task must not run for n = 0")
+    });
     assert_eq!(pool.report().jobs, 0);
 }
 

@@ -9,11 +9,12 @@
 //! plan lookup and arena checkout cost per *batch*, not per call, with
 //! zero cross-image synchronization.
 //!
-//! Behaviour is fully observable: per-bucket counters obeying
-//! `admitted = served + rejected + expired`, coalesce factor, queue-depth
-//! high-water, and per-bucket end-to-end p50/p99 — exported as the
-//! metrics-schema-v5 `serve` section ([`iwino_obs::ServeReport`]) and
-//! mirrored into the global `serve_*` counters and histogram sites.
+//! Behaviour is fully observable through [`Server::stats`]: per-bucket
+//! counters obeying `admitted = served + rejected + expired`, coalesce
+//! factor, queue-depth high-water, and per-bucket end-to-end p50/p99, all
+//! owned by the server that counted them ([`Server::engine_stats`] adds its
+//! private engine's plan-cache and arena numbers). While `iwino-obs`
+//! records, queue wait and batch time also land in its histogram sites.
 //! The repository benchmark's `serve-open` workload drives this crate with
 //! an open-loop load generator.
 

@@ -25,7 +25,7 @@ use crate::stats::{BucketStats, ServerStats};
 use iwino_core::error::expect_dims;
 use iwino_core::Epilogue;
 use iwino_engine::{ConvAlgorithm, Engine, EngineStats, Handle};
-use iwino_obs::{self as obs, Counter, HistSite};
+use iwino_obs::{self as obs, HistSite};
 use iwino_parallel::{default_threads, ThreadPool};
 use iwino_tensor::{ConvShape, Tensor4};
 use std::collections::{HashMap, VecDeque};
@@ -257,10 +257,8 @@ impl Server {
         // counted: every admitted request ends up served, rejected, or
         // expired — exactly once.
         bucket.stats.admit();
-        obs::add(Counter::ServeAdmitted, 1);
         if deadline.is_some_and(|d| d <= now) {
             bucket.stats.expire();
-            obs::add(Counter::ServeExpired, 1);
             return Err(ServeError::DeadlineExpired {
                 bucket: bucket.label.clone(),
             });
@@ -268,7 +266,6 @@ impl Server {
         let q = &mut state.queues[idx];
         if q.len() >= shared.queue_capacity {
             bucket.stats.reject();
-            obs::add(Counter::ServeRejected, 1);
             return Err(ServeError::QueueFull {
                 bucket: bucket.label.clone(),
                 capacity: shared.queue_capacity,
@@ -284,9 +281,7 @@ impl Server {
             enqueued: now,
             ticket: Arc::clone(&ticket),
         });
-        let depth = q.len() as u64;
-        bucket.stats.observe_depth(depth);
-        obs::maximize(Counter::ServeQueueDepthHighWater, depth);
+        bucket.stats.observe_depth(q.len() as u64);
         drop(state);
         shared.wake.notify_all();
         Ok(Ticket { shared: ticket })
@@ -322,15 +317,8 @@ impl Server {
         self.shared.engine.stats()
     }
 
-    /// Export the current per-bucket counters as the metrics-schema-v5
-    /// `serve` section (visible in the next `iwino_obs::snapshot`).
-    pub fn publish_report(&self) {
-        obs::set_serve_report(self.stats().to_report());
-    }
-
     /// Stop admission, drain every queued request (serving or expiring
-    /// each), join the coalescer, publish the final serve report, and
-    /// return the final counters.
+    /// each), join the coalescer, and return the final counters.
     pub fn shutdown(&mut self) -> ServerStats {
         {
             let mut state = self.shared.state.lock().unwrap();
@@ -343,7 +331,6 @@ impl Server {
         if let Some(h) = self.coalescer.take() {
             h.join().expect("coalescer panicked");
         }
-        self.publish_report();
         self.stats()
     }
 }
@@ -400,7 +387,6 @@ fn run_batch(shared: &Shared, idx: usize, batch: Vec<Request>) {
         obs::record_latency(HistSite::ServeQueueWait, (now - req.enqueued).as_nanos() as u64);
         if req.deadline.is_some_and(|d| d <= now) {
             bucket.stats.expire();
-            obs::add(Counter::ServeExpired, 1);
             req.ticket.resolve(Err(ServeError::DeadlineExpired {
                 bucket: bucket.label.clone(),
             }));
@@ -412,7 +398,6 @@ fn run_batch(shared: &Shared, idx: usize, batch: Vec<Request>) {
         return;
     }
     bucket.stats.batch(live.len() as u64);
-    obs::add(Counter::ServeBatches, 1);
     let t0 = Instant::now();
     // One plan lookup amortized over the whole batch. The first batch per
     // bucket misses (and builds the transformed-filter bank); every later
@@ -428,7 +413,6 @@ fn run_batch(shared: &Shared, idx: usize, batch: Vec<Request>) {
         Err(e) => {
             for req in &live {
                 bucket.stats.reject();
-                obs::add(Counter::ServeRejected, 1);
                 req.ticket.resolve(Err(ServeError::Conv(e.clone())));
             }
             return;
@@ -442,17 +426,9 @@ fn run_batch(shared: &Shared, idx: usize, batch: Vec<Request>) {
         let out = plan
             .run(&req.input, &Epilogue::None, shared.engine.arena())
             .map_err(ServeError::from);
-        let e2e_ns = req.enqueued.elapsed().as_nanos() as u64;
         match &out {
-            Ok(_) => {
-                bucket.stats.serve(e2e_ns);
-                obs::add(Counter::ServeServed, 1);
-                obs::record_latency(HistSite::ServeE2e, e2e_ns);
-            }
-            Err(_) => {
-                bucket.stats.reject();
-                obs::add(Counter::ServeRejected, 1);
-            }
+            Ok(_) => bucket.stats.serve(req.enqueued.elapsed().as_nanos() as u64),
+            Err(_) => bucket.stats.reject(),
         }
         req.ticket.resolve(out);
     });

@@ -3,11 +3,11 @@
 //! Every bucket keeps its own lock-free counter block plus a log2 latency
 //! histogram of end-to-end request time (admission → response), built on
 //! the same [`bucket_index`] / [`HistogramSummary`] machinery the global
-//! obs histograms use. The bucket-local stats are recorded unconditionally
-//! — they are the server's own accounting and the source for
-//! [`ServerStats`] / the exported [`iwino_obs::ServeReport`] — while the
-//! *global* obs counters and histogram sites are additionally fed through
-//! the gated `iwino_obs::add` / `record_latency` entry points.
+//! obs histograms use. They are recorded unconditionally, belong to the
+//! server that counted them, and are read only through `Server::stats`
+//! ([`ServerStats`]); two servers in one process never share a counter.
+//! The only serving numbers that also reach `iwino-obs` are the gated
+//! queue-wait and batch-time histogram sites.
 //!
 //! The accounting identity every snapshot obeys once the server has
 //! drained: `admitted == served + rejected + expired`.
@@ -136,21 +136,6 @@ impl BucketSnapshot {
             self.served as f64 / self.batches as f64
         }
     }
-
-    fn to_report(&self) -> iwino_obs::ServeBucketReport {
-        iwino_obs::ServeBucketReport {
-            label: self.label.clone(),
-            admitted: self.admitted,
-            served: self.served,
-            rejected: self.rejected,
-            expired: self.expired,
-            batches: self.batches,
-            max_batch: self.max_batch,
-            queue_depth_high_water: self.queue_depth_high_water,
-            p50_e2e_ns: self.e2e.p50_ns(),
-            p99_e2e_ns: self.e2e.p99_ns(),
-        }
-    }
 }
 
 /// Point-in-time view of every bucket, in registration order.
@@ -178,13 +163,6 @@ impl ServerStats {
 
     pub fn batches(&self) -> u64 {
         self.buckets.iter().map(|b| b.batches).sum()
-    }
-
-    /// The metrics-schema-v5 `serve` section for this snapshot.
-    pub fn to_report(&self) -> iwino_obs::ServeReport {
-        iwino_obs::ServeReport {
-            buckets: self.buckets.iter().map(BucketSnapshot::to_report).collect(),
-        }
     }
 }
 
@@ -218,8 +196,5 @@ mod tests {
         // Two samples ≤ 255 ns, two in the 4096..8191 bucket.
         assert_eq!(snap.e2e.p50_ns(), 255);
         assert_eq!(snap.e2e.p99_ns(), 8191);
-        let report = ServerStats { buckets: vec![snap] }.to_report();
-        assert_eq!(report.buckets[0].p99_e2e_ns, 8191);
-        assert_eq!(report.buckets[0].coalesce_factor(), 2.0);
     }
 }

@@ -2,22 +2,13 @@
 //! rejection, drain-on-shutdown, and post-shutdown admission. These pin
 //! the exact typed errors (`ServeError` is `PartialEq`) and the promise
 //! that no admitted request is ever left unanswered.
+//!
+//! The tests run in parallel without a guard: each server owns its engine,
+//! pool and stats, and nothing here touches process-global obs state.
 
 use iwino_serve::{ServeConfig, ServeError, Server, ServerBuilder};
 use iwino_tensor::{ConvShape, Tensor4};
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Serialize the tests in this binary.
-///
-/// CONVENTION (see `tests/stress.rs` for the full statement): tests that
-/// spawn servers share the process-global obs slots, so each test binary
-/// in the serve net serializes its own tests behind one static guard;
-/// cargo already runs the binaries themselves sequentially.
-fn guard() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn shape() -> ConvShape {
     ConvShape::square(1, 6, 2, 3, 3)
@@ -39,7 +30,6 @@ fn input(seed: u64) -> Tensor4<f32> {
 /// ticket, no queue slot — and is counted admitted + expired.
 #[test]
 fn expired_at_enqueue_fails_synchronously_and_is_counted() {
-    let _g = guard();
     let mut srv = server(ServeConfig::default());
     let past = Instant::now() - Duration::from_millis(1);
     let err = srv.submit("b", input(2), Some(past)).unwrap_err();
@@ -56,7 +46,6 @@ fn expired_at_enqueue_fails_synchronously_and_is_counted() {
 /// typed `QueueFull` carrying the capacity, and the backlog still drains.
 #[test]
 fn queue_full_is_a_typed_rejection() {
-    let _g = guard();
     let mut srv = server(ServeConfig {
         queue_capacity: 3,
         start_paused: true,
@@ -88,7 +77,6 @@ fn queue_full_is_a_typed_rejection() {
 /// queued) — no request is left unanswered.
 #[test]
 fn shutdown_drains_a_paused_backlog_leaving_nothing_unanswered() {
-    let _g = guard();
     let mut srv = server(ServeConfig {
         queue_capacity: 16,
         max_batch: 4,
@@ -124,7 +112,6 @@ fn shutdown_drains_a_paused_backlog_leaving_nothing_unanswered() {
 /// admission counters do not move.
 #[test]
 fn post_shutdown_submit_is_refused_without_being_counted() {
-    let _g = guard();
     let mut srv = server(ServeConfig::default());
     srv.submit("b", input(50), None).unwrap().wait().unwrap();
     let before = srv.shutdown();

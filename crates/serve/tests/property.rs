@@ -13,25 +13,14 @@
 //! Runs on the native dispatch lane and (via `scripts/check.sh`) again
 //! under `IWINO_FORCE_SCALAR=1`; both lanes must serve bitwise-serial
 //! outputs. The case budget honours `PROPTEST_CASES`.
+//!
+//! The tests run in parallel without a guard: each server owns its engine,
+//! pool and stats, and nothing here touches process-global obs state.
 
 use iwino_core::{auto_options, Epilogue, PreparedConv};
 use iwino_serve::{ServeConfig, ServerBuilder};
 use iwino_tensor::{ConvShape, Tensor4};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serialize server-spawning tests within this binary.
-///
-/// CONVENTION (shared with `tests/stress.rs`, `crates/obs` trace tests and
-/// `crates/parallel/tests/stress.rs`): tests that spawn servers or toggle
-/// `iwino_obs` state take a process-wide guard, because the obs counters,
-/// histogram sites, and report slots are process-global. Cargo runs test
-/// *binaries* sequentially, so a per-binary guard is enough; within a
-/// binary the default parallel test threads would otherwise interleave.
-fn guard() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The serial reference the server must match bitwise.
 fn serial_outputs(w: &Tensor4<f32>, s: &ConvShape, xs: &[Tensor4<f32>]) -> Vec<Tensor4<f32>> {
@@ -54,7 +43,6 @@ proptest! {
         workers in 1usize..5,
         routing in proptest::collection::vec(0usize..3, 1..18),
     ) {
-        let _g = guard();
         let s = ConvShape::square(1, hw, ic, oc, 3);
         let s_odd = ConvShape::square(1, hw + 1, ic, oc, 5);
         let w_a = Tensor4::<f32>::random(s.w_dims(), 11, -1.0, 1.0);
@@ -118,7 +106,6 @@ proptest! {
         n_b in 0usize..12,
         max_batch in 1usize..6,
     ) {
-        let _g = guard();
         let s = ConvShape::square(1, 5, 2, 3, 3);
         let w_a = Tensor4::<f32>::random(s.w_dims(), 5, -1.0, 1.0);
         let w_b = Tensor4::<f32>::random(s.w_dims(), 6, -1.0, 1.0);

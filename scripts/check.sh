@@ -73,8 +73,16 @@ echo "== engine smoke (both registry backends vs the f64 reference) =="
 # drives the training backward passes (Engine::backward_data at stride 1
 # and 2, Engine::filter_grad) against the adjoint identity in f64, and
 # prints plan-cache/arena stats. Exits nonzero if either backend or any
-# pass fails to plan, run, or agree.
-cargo run --offline --release -p iwino-bench --bin repro -- engine
+# pass fails to plan, run, or agree. `--metrics` also writes the run's
+# metrics document (pool, dispatch and engine sections read from their
+# owners) and fails the step if it cannot be written.
+cargo run --offline --release -p iwino-bench --bin repro -- engine --metrics repro_results/engine.metrics.json
+
+echo "== repro --metrics fails on an unwritable path =="
+if cargo run --offline --release -q -p iwino-bench --bin repro -- table2 --metrics /nonexistent/x.json >/dev/null 2>&1; then
+  echo "error: repro exited 0 although its metrics document could not be written" >&2
+  exit 1
+fi
 
 echo "== ND extension end to end (native + forced-scalar dispatch) =="
 # The §4.2 3-D convolution through the shared Γ row pass (Winograd tiles
