@@ -1,12 +1,13 @@
 //! Pass 2 — the `unsafe` audit.
 //!
-//! Three rules, mirroring the workspace's safety story (`crates/parallel`,
-//! `crates/simd` and `crates/gemm` are the only crates allowed to hold
-//! `unsafe`: parallel because the scoped thread-pool lifetime erasure and
-//! the disjoint-slice splitter cannot be expressed in safe Rust without
-//! rayon, simd and gemm because explicit AVX2/NEON intrinsics are
-//! `unsafe fn` behind `#[target_feature]` and raw-pointer microkernel
-//! loops):
+//! Three rules, mirroring the workspace's safety story (`crates/parallel`
+//! and `crates/simd` are the only crates allowed to hold `unsafe`: parallel
+//! because the scoped thread-pool lifetime erasure and the disjoint-slice
+//! splitter cannot be expressed in safe Rust without rayon, simd because
+//! explicit AVX2/NEON intrinsics are `unsafe fn` behind
+//! `#[target_feature]` and raw-pointer microkernel loops — including the
+//! packed GEMM's register tile, which `iwino-gemm` reaches through simd's
+//! dispatch table):
 //!
 //! 1. the token `unsafe` may appear only in [`UNSAFE_ALLOWLIST`] files;
 //! 2. every line containing `unsafe` in an allowlisted file must carry a
@@ -21,8 +22,6 @@ use crate::scan::{documented, has_word, ScannedFile};
 
 /// The only files in which `unsafe` is tolerated (workspace-relative).
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/gemm/src/avx2.rs",
-    "crates/gemm/src/neon.rs",
     "crates/parallel/src/lib.rs",
     "crates/parallel/src/slice_parts.rs",
     "crates/simd/src/avx2.rs",
@@ -38,7 +37,7 @@ pub const DOC_WINDOW: usize = 3;
 
 /// Crates whose root is exempt from the `#![forbid(unsafe_code)]`
 /// requirement — exactly the crates owning allowlisted unsafe files.
-const FORBID_EXEMPT_PREFIXES: &[&str] = &["crates/gemm/", "crates/parallel/", "crates/simd/"];
+const FORBID_EXEMPT_PREFIXES: &[&str] = &["crates/parallel/", "crates/simd/"];
 
 /// Rules 1 and 2: allowlist membership and `// SAFETY:` adjacency.
 pub fn audit_unsafe(files: &[ScannedFile]) -> Vec<Finding> {
@@ -54,7 +53,7 @@ pub fn audit_unsafe(files: &[ScannedFile]) -> Vec<Finding> {
                     Pass::UnsafeAudit,
                     &file.rel_path,
                     idx + 1,
-                    "`unsafe` outside the allowlist (only crates/parallel, crates/simd and crates/gemm may use it)",
+                    "`unsafe` outside the allowlist (only crates/parallel and crates/simd may use it)",
                 ));
             } else if !documented(&file.lines, idx, "SAFETY:", DOC_WINDOW) {
                 findings.push(Finding::new(

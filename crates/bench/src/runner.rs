@@ -1,5 +1,4 @@
-//! Measurement and simulation drivers shared by the `repro` binary and the
-//! criterion benches.
+//! Measurement and simulation drivers behind the `repro` binary.
 
 use crate::figures::{scale_batch, AccuracyTable, Panel};
 use iwino_baselines::{direct_conv_f64_ref, im2col_conv_nchw_scratch, winograd2d_conv, Im2colPlan};

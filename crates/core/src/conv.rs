@@ -631,6 +631,24 @@ mod tests {
     }
 
     #[test]
+    fn one_wide_filters_plan_as_gemm() {
+        // FW = 1 has no Γ kernel: the row plans as one GEMM segment, for
+        // the forward pass and for backward-data alike.
+        for fh in [1usize, 3] {
+            let s = ConvShape::unit(1, 6, 20, 4, 4, fh, 1, fh / 2, 0);
+            check_conv(&s, &ConvOptions::default(), 140 + fh as u64, 1e-4);
+            let dy = Tensor4::<f32>::random(s.y_dims(), 142 + fh as u64, -1.0, 1.0);
+            let w = Tensor4::<f32>::random(s.w_dims(), 144 + fh as u64, -1.0, 1.0);
+            let got = deconv2d(&dy, &w, &s, &ConvOptions::default()).unwrap();
+            let bw = ConvShape::unit(s.n, s.oh(), s.ow(), s.oc, s.ic, fh, 1, fh - 1 - s.ph, 0);
+            let want = direct_conv_f64_ref(&dy, &rotate_filter_180(&w), &bw);
+            let e = max_mixed_error(&got, &want);
+            assert!(e < 1e-4, "FH = {fh}: deconv error {e}");
+            assert_eq!(got.dims(), s.x_dims());
+        }
+    }
+
+    #[test]
     fn deconv_matches_conv_of_rotated_filter() {
         let s = ConvShape::square(2, 12, 4, 6, 3);
         let dy = Tensor4::<f32>::random(s.y_dims(), 110, -1.0, 1.0);

@@ -28,9 +28,6 @@ pub enum ConvError {
         sh: usize,
         sw: usize,
     },
-    /// The algorithm cannot run this shape for a reason other than stride
-    /// (e.g. a filter width outside the Γ planner's range).
-    Unsupported { algorithm: &'static str, reason: String },
     /// No registered algorithm answers to this name (engine dispatch).
     UnknownAlgorithm { name: String },
     /// The named algorithm's `supports` query rejected the shape (engine
@@ -57,9 +54,6 @@ impl fmt::Display for ConvError {
                     "{algorithm} is a unit-stride algorithm (§4) but stride is {sh}×{sw}; \
                      run strided convolutions through iwino_engine::Engine"
                 )
-            }
-            ConvError::Unsupported { algorithm, reason } => {
-                write!(f, "{algorithm} cannot run this shape: {reason}")
             }
             ConvError::UnknownAlgorithm { name } => write!(f, "no convolution algorithm named {name:?} is registered"),
             ConvError::UnsupportedShape {

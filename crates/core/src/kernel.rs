@@ -8,7 +8,7 @@
 //!   `FH × (IC / BK)` times (the `fh`/`oic` loops of Algorithm 1);
 //! * per iteration the input tiles are gathered from the NHWC row (implicit
 //!   zero padding via bounds checks, §5), transformed with the *simplified*
-//!   `Dᵀ` (§5.3 even/odd pairing) in [`crate::plan::LANE`]-wide channel
+//!   `Dᵀ` (§5.3 even/odd pairing) in `iwino_simd::LANE`-wide channel
 //!   chunks, and multiplied into the `α`-state accumulators by a
 //!   register-blocked FMA microkernel that runs along the contiguous `oc`
 //!   axis of the transformed filter — the CPU analogue of the 8×(8×8)
@@ -54,9 +54,9 @@ pub enum Variant {
     C64,
 }
 
-// `BK` (channel panel) and `LANE` (microkernel vector width) live in
-// `crate::plan` so the planner, the kernels, and the tests agree on the
-// lane-width invariant (`BK % LANE == 0`); the microkernels themselves
+// `BK` (channel panel) lives in `crate::plan`, written in lanes of
+// `iwino_simd::LANE` so the planner, the kernels, and the tests agree on
+// the lane-width invariant (`BK % LANE == 0`); the microkernels themselves
 // live in `iwino-simd` behind its runtime dispatch table.
 
 /// A ready-to-run `Γα(n, r)` kernel: transform matrices in f32 with the
@@ -360,10 +360,7 @@ fn gather_positions(
 /// dispatched `iwino-simd` microkernel (AVX2/NEON/scalar, all bit-for-bit
 /// identical): output channels are register-blocked down to a masked tail
 /// and per output element the `ic`-order summation is identical to a plain
-/// nested loop, keeping variants and ISAs bitwise-comparable. When scalar
-/// is dispatched the (inlinable) fallback is called directly instead of
-/// through the table's function pointer, so the pre-dispatch codegen — and
-/// its performance — is preserved exactly.
+/// nested loop, keeping variants and ISAs bitwise-comparable.
 #[allow(clippy::too_many_arguments)]
 fn fma_tile(
     acc: &mut [f32],
@@ -379,18 +376,13 @@ fn fma_tile(
     ocb: usize,
 ) {
     let oc = tw.oc;
-    let mk = simd::kernels();
-    let use_scalar = mk.isa == simd::Isa::Scalar;
+    let row = simd::kernels().outer_product_row;
     for s in 0..alpha {
         let base = (t * alpha + s) * bn;
         let arow = &mut acc[base..base + ocb];
         let txs = &tx[s * BK..s * BK + icb];
         let panel = &tw.panel(plane, s)[ic0 * oc..];
-        if use_scalar {
-            simd::scalar::outer_product_row(arow, txs, panel, oc, oc0);
-        } else {
-            (mk.outer_product_row)(arow, txs, panel, oc, oc0);
-        }
+        row(arow, txs, panel, oc, oc0);
     }
 }
 
@@ -418,8 +410,7 @@ fn fma_tile2(
     ocb: usize,
 ) {
     let oc = tw.oc;
-    let mk = simd::kernels();
-    let use_scalar = mk.isa == simd::Isa::Scalar;
+    let row2 = simd::kernels().outer_product_row2;
     // Disjoint accumulator views for the two tiles (`α·bn` apart).
     let (acc0, acc1) = acc.split_at_mut((t + 1) * alpha * bn);
     for s in 0..alpha {
@@ -429,11 +420,7 @@ fn fma_tile2(
         let txs0 = &tx[s * BK..s * BK + icb];
         let txs1 = &tx[(alpha + s) * BK..(alpha + s) * BK + icb];
         let panel = &tw.panel(plane, s)[ic0 * oc..];
-        if use_scalar {
-            simd::scalar::outer_product_row2(arow0, arow1, txs0, txs1, panel, oc, oc0);
-        } else {
-            (mk.outer_product_row2)(arow0, arow1, txs0, txs1, panel, oc, oc0);
-        }
+        row2(arow0, arow1, txs0, txs1, panel, oc, oc0);
     }
 }
 

@@ -72,8 +72,6 @@ pub use error::ConvError;
 pub use filter::TransformedFilter;
 pub use kernel::{GammaKernel, Variant};
 pub use nd::conv3d;
-pub use plan::{
-    default_kernel_prefs, winograd2d_loads_per_output, GammaSpec, KernelChoice, Segment, SegmentPlan, BK, LANE,
-};
+pub use plan::{default_kernel_prefs, winograd2d_loads_per_output, GammaSpec, KernelChoice, Segment, SegmentPlan, BK};
 pub use precision::{conv2d_f64, error_decomposition, ErrorDecomposition};
 pub use workspace::{workspace_bytes, workspace_ratio, AlgorithmClass};

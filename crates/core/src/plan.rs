@@ -11,23 +11,16 @@
 //! overlap between segments, and the variety of kernels is minimized."
 
 use crate::kernel::Variant;
+use iwino_simd::LANE;
 use std::fmt;
-
-/// Vector lane width of the channel-chunk microkernels: 8 f32 = one 256-bit
-/// register. Every hot loop in [`crate::kernel`] and the paired transforms
-/// walks channels in unrolled lanes of this width (plus one remainder lane
-/// for `IC % LANE ≠ 0`), so rustc autovectorises each lane to SIMD.
-pub const LANE: usize = 8;
 
 /// Channel-panel size `BK`: channels gathered/transformed per inner kernel
 /// block. The paper's `BK = 8` is sized for SMEM ports; on CPU a panel of
-/// four lanes fills cache lines while staying small enough that the `α×BK`
-/// transformed tile lives in L1. Must stay a multiple of [`LANE`] — the
-/// microkernels split `BK` into exact lanes and only the *final* partial
-/// panel (`IC % BK`) may engage the remainder lane.
+/// four `iwino_simd::LANE`s fills cache lines while staying small enough
+/// that the `α×BK` transformed tile lives in L1. A whole number of lanes —
+/// the microkernels split `BK` into exact lanes and only the *final*
+/// partial panel (`IC % BK`) may engage the remainder lane.
 pub const BK: usize = 4 * LANE;
-
-const _: () = assert!(BK.is_multiple_of(LANE), "channel panel must be a whole number of lanes");
 
 /// A `Γα(n, r)` kernel selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,10 +189,14 @@ pub fn ruse_wins(alpha: usize, r: usize) -> bool {
 /// * remainder kernels: successively smaller α (with `ruse` preferred, as in
 ///   Figure 7), so the leftover width is still mostly Winograd-covered;
 /// * GEMM for the final `< n_min` columns (implicit — the planner appends it).
+///
+/// A 1-wide filter has no Winograd transform (`Γα(n, 1)` multiplies nothing
+/// away), so `r < 2` gets no Γ kernel and plans as one GEMM segment, like
+/// `r ≥ 16`.
 pub fn default_kernel_prefs(r: usize, prefer_alpha16: bool) -> Vec<GammaSpec> {
     let mut prefs = Vec::new();
     let mut push_alpha = |alpha: usize| {
-        if r < alpha {
+        if (2..alpha).contains(&r) {
             let n = alpha + 1 - r;
             if n >= 2 {
                 let variant = if ruse_wins(alpha, r) {
@@ -416,11 +413,8 @@ mod tests {
     #[test]
     fn lane_width_invariant() {
         // The planner's channel panel is a whole number of microkernel
-        // lanes, and the transforms + SIMD crates block to the same lane
-        // width (the dispatch table's widest vector is one LANE of f32).
+        // lanes (the dispatch table's widest vector is one LANE of f32).
         assert_eq!(BK % LANE, 0);
-        assert_eq!(LANE, iwino_transforms::LANE);
-        assert_eq!(LANE, iwino_simd::LANE);
         assert!(iwino_simd::kernels().lane_width <= LANE);
     }
 

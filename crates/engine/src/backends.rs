@@ -82,12 +82,6 @@ impl ConvAlgorithm for WinogradBackend {
     }
 
     fn plan(&self, w: &Tensor4<f32>, s: &ConvShape, deconv: bool) -> Result<Arc<dyn ConvPlan>, ConvError> {
-        if !self.supports(s) {
-            return Err(ConvError::Unsupported {
-                algorithm: self.name(),
-                reason: format!("unsupported shape {s:?}"),
-            });
-        }
         let opts = self.options_for(s);
         let prep = if deconv {
             PreparedConv::deconv(w, s, &opts)?

@@ -519,6 +519,31 @@ mod tests {
     }
 
     #[test]
+    fn gamma_plan_called_directly_returns_a_plan_or_a_typed_error() {
+        // Without the engine's capability gate in front of it: a strided
+        // shape gets core's typed `NonUnitStride`, and a 1×1 filter (outside
+        // `supports`' 2..=15 width range) plans as one GEMM segment.
+        let gamma = WinogradBackend::auto();
+        let strided = ConvShape {
+            sh: 2,
+            sw: 2,
+            ..ConvShape::square(1, 9, 3, 4, 3)
+        };
+        let (_, w) = tensors(&strided);
+        let Err(e) = gamma.plan(&w, &strided, false) else {
+            panic!("a strided shape must not plan on the unit-stride Γ backend");
+        };
+        assert!(matches!(e, ConvError::NonUnitStride { sh: 2, sw: 2, .. }), "{e}");
+        let s = ConvShape::square(1, 9, 5, 4, 1);
+        let (x, w) = tensors(&s);
+        let plan = gamma.plan(&w, &s, false).unwrap();
+        let y = plan.run(&x, &Epilogue::None, &WorkspacePool::new()).unwrap();
+        let want = iwino_baselines::direct_conv_f64_ref(&x, &w, &s);
+        let e = iwino_tensor::max_mixed_error(&y, &want);
+        assert!(e < 1e-4, "1×1 plan error {e}");
+    }
+
+    #[test]
     fn strided_backward_data_runs_the_indirect_plan() {
         let eng = Engine::new();
         let h = Handle::default();

@@ -20,13 +20,12 @@
 //! [`iwino_parallel::SliceParts`] — each task owns a disjoint row block of
 //! `C`, so there is no row-level broadcast and no cross-task write overlap.
 //!
-//! The 6×16 register tile (`MR × 2·LANE`) dispatches through the
-//! `iwino-simd` one-byte ISA gate: AVX2 holds the tile in 12 ymm
-//! accumulators, NEON in 24 q registers, and the safe-scalar kernel is the
-//! bit-exactness reference — every lane accumulates each C element in
-//! ascending-`k` order with separate (individually rounded) multiply and
-//! add, making all three lanes bitwise identical, and the whole blocked
-//! GEMM bitwise equal to the naive left-to-right triple loop.
+//! The 6×16 register tile is `iwino_simd::kernels().tile_6x16`: the SIMD
+//! crate owns the ISA decision and every lane of it, and this crate only
+//! packs and blocks — it has no ISA branch and no `unsafe`. Every lane of
+//! the tile accumulates each C element in ascending-`k` order with separate
+//! (individually rounded) multiply and add, so the whole blocked GEMM is
+//! bitwise equal to the naive left-to-right triple loop on every lane.
 //!
 //! Packing buffers come from a caller-provided [`ScratchProvider`], so the
 //! serving engine's arena owns them and steady-state calls allocate
@@ -38,23 +37,16 @@
 //! rides it transposed through [`sgemm_gather_tn`]: the same table feeds
 //! `Âᵀ`'s panels, reducing over output pixels.
 
+#![forbid(unsafe_code)]
+
 use iwino_obs as obs;
 use iwino_parallel as par;
+use iwino_simd::{Tile6x16Fn, MR, NR};
 
-#[cfg(target_arch = "x86_64")]
-mod avx2;
-#[cfg(target_arch = "aarch64")]
-mod neon;
-mod scalar;
 mod scratch;
 
 pub use scratch::{AllocScratch, ScratchProvider};
 
-/// Register-tile rows: each A micro-panel packs `MR` rows k-major.
-pub const MR: usize = 6;
-/// Register-tile columns: `2 · iwino_simd::LANE`, fixed across ISAs so the
-/// packed layout is ISA-independent (NEON covers it with 4 q registers).
-pub const NR: usize = 2 * iwino_simd::LANE;
 /// K chunk: one `KC×NR` B panel (16 KiB) stays L1-resident under the
 /// streaming A panel.
 pub const KC: usize = 256;
@@ -65,26 +57,8 @@ pub const MC: usize = 12 * MR;
 /// backends produce this loop usually runs exactly once.
 pub const NC: usize = 2048;
 
-/// The microkernel signature shared by all ISA lanes:
-/// `C[MR×NR] += Aᵖ[kc×MR] · Bᵖ[kc×NR]` with C row stride `ldc`.
-type MicroKernel = fn(usize, &[f32], &[f32], &mut [f32], usize);
-
-/// Resolve the register-tile kernel for the currently dispatched ISA. The
-/// dispatch byte is `iwino-simd`'s: one relaxed load, same force-scalar
-/// override, so `IWINO_FORCE_SCALAR=1` pins this crate to the scalar lane
-/// together with the Γ kernels.
-fn microkernel() -> MicroKernel {
-    match iwino_simd::kernels().isa {
-        #[cfg(target_arch = "x86_64")]
-        iwino_simd::Isa::Avx2Fma => avx2::tile_6x16,
-        #[cfg(target_arch = "aarch64")]
-        iwino_simd::Isa::Neon => neon::tile_6x16,
-        _ => scalar::tile_6x16,
-    }
-}
-
 /// Length in floats of the packed image of a `k×n` B matrix.
-pub fn packed_b_len(k: usize, n: usize) -> usize {
+fn packed_b_len(k: usize, n: usize) -> usize {
     n.div_ceil(NR) * NR * k
 }
 
@@ -93,7 +67,7 @@ pub fn packed_b_len(k: usize, n: usize) -> usize {
 /// row values contiguously (`out[q·k·NR + kk·NR + c]`). Edge columns are
 /// zero-padded so the microkernel never needs a masked tail; the `pc`-chunk
 /// of a panel is the contiguous subslice `[q·k·NR + pc·NR ..][..kc·NR]`.
-pub fn pack_b(k: usize, n: usize, b: &[f32], out: &mut [f32]) {
+fn pack_b(k: usize, n: usize, b: &[f32], out: &mut [f32]) {
     assert_eq!(b.len(), k * n, "B shape");
     assert!(out.len() >= packed_b_len(k, n), "packed-B buffer too short");
     for q in 0..n.div_ceil(NR) {
@@ -135,7 +109,8 @@ impl PackedB {
         self.n
     }
 
-    /// The packed panels (layout documented on [`pack_b`]).
+    /// The packed panels: NR-column micro-panels, k-major, edge columns
+    /// zero-padded.
     pub fn data(&self) -> &[f32] {
         &self.data
     }
@@ -356,7 +331,7 @@ fn pack_gather_t_block(g: &GatherA<'_>, i0: usize, mb: usize, pc: usize, kc: usi
 /// hold at least `ceil(mb/MR)·MR·min(KC, k)` floats.
 #[allow(clippy::too_many_arguments)] // GEMM operands + block geometry, BLAS-style ordering
 fn run_block(
-    kern: MicroKernel,
+    kern: Tile6x16Fn,
     n: usize,
     src: &ASource<'_>,
     bp: &[f32],
@@ -431,7 +406,7 @@ fn gemm_blocked(
         }
         return;
     }
-    let kern = microkernel();
+    let kern = iwino_simd::kernels().tile_6x16;
     let kc_max = KC.min(k);
     let parts = par::SliceParts::new(c, MC * n);
     // Disjoint MC-block ownership: each task claims one row block of C and
@@ -485,27 +460,8 @@ pub fn sgemm_scratch(
     scratch.give_back(bp);
 }
 
-/// [`sgemm_scratch`] against a `B` packed ahead of time with [`pack_b`]
-/// (e.g. into an arena buffer shared across calls); only the A panels are
-/// packed here, drawn from `scratch`.
-#[allow(clippy::too_many_arguments)]
-pub fn sgemm_packed(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b_packed: &[f32],
-    c: &mut [f32],
-    accumulate: bool,
-    scratch: &dyn ScratchProvider,
-) {
-    assert_eq!(a.len(), m * k, "A shape");
-    assert!(b_packed.len() >= packed_b_len(k, n), "packed-B buffer too short");
-    assert_eq!(c.len(), m * n, "C shape");
-    gemm_blocked(m, n, &ASource::Dense { a, k }, b_packed, c, accumulate, scratch);
-}
-
-/// [`sgemm_packed`] against a plan-time [`PackedB`].
+/// [`sgemm_scratch`] against a plan-time [`PackedB`]; only the A panels
+/// are packed here, drawn from `scratch`.
 pub fn sgemm_prepacked(
     m: usize,
     a: &[f32],
@@ -514,7 +470,17 @@ pub fn sgemm_prepacked(
     accumulate: bool,
     scratch: &dyn ScratchProvider,
 ) {
-    sgemm_packed(m, pb.n, pb.k, a, &pb.data, c, accumulate, scratch)
+    assert_eq!(a.len(), m * pb.k, "A shape");
+    assert_eq!(c.len(), m * pb.n, "C shape");
+    gemm_blocked(
+        m,
+        pb.n,
+        &ASource::Dense { a, k: pb.k },
+        &pb.data,
+        c,
+        accumulate,
+        scratch,
+    );
 }
 
 /// [`sgemm_prepacked`] with the A operand described by an indirection
@@ -596,7 +562,6 @@ pub fn sgemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) 
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
 
     /// Naive left-to-right triple loop — the bitwise reference: the packed
     /// kernels accumulate each C element in exactly this order with the
@@ -621,24 +586,6 @@ mod tests {
             s ^= s >> 17;
             s ^= s << 5;
             *v = (s as f32 / u32::MAX as f32) * 4.0 - 2.0;
-        }
-    }
-
-    /// Serialize tests that override the dispatch byte (same convention as
-    /// the Γ conformance net).
-    fn force_guard() -> MutexGuard<'static, ()> {
-        static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-        GUARD
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Restore the ambient dispatch (incl. IWINO_FORCE_SCALAR) on drop.
-    struct RestoreDispatch;
-    impl Drop for RestoreDispatch {
-        fn drop(&mut self) {
-            iwino_simd::clear_force_override();
         }
     }
 
@@ -835,41 +782,6 @@ mod tests {
         assert!(c.iter().all(|&v| v == 0.0), "padded rows must read the zero row");
     }
 
-    #[test]
-    fn gather_scalar_lane_bitwise_matches_native() {
-        let _g = force_guard();
-        let (taps, seg, rows) = (5, 11, MR + 3);
-        let k = taps * seg;
-        let n = 2 * NR - 3;
-        let m = 2 * rows;
-        let mut base = vec![0.0f32; 1024];
-        fill(&mut base, 61);
-        let mut offsets = Vec::new();
-        let block_stride = sample_gather(&base, &mut offsets, taps, seg, rows);
-        let ga = GatherA {
-            base: &base,
-            offsets: &offsets,
-            taps,
-            seg,
-            rows_per_block: rows,
-            block_stride,
-        };
-        let mut b = vec![0.0f32; k * n];
-        fill(&mut b, 62);
-        let pb = PackedB::pack(k, n, &b);
-        let mut native = vec![0.0f32; m * n];
-        sgemm_gather_prepacked(m, &ga, &pb, &mut native, false, &AllocScratch);
-        let mut scalar_out = vec![0.0f32; m * n];
-        {
-            let _r = RestoreDispatch;
-            iwino_simd::set_force_scalar(true);
-            sgemm_gather_prepacked(m, &ga, &pb, &mut scalar_out, false, &AllocScratch);
-        }
-        for (i, (x, y)) in native.iter().zip(&scalar_out).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "idx {i}: {x:?} vs scalar {y:?}");
-        }
-    }
-
     /// A convolution-geometry gather over an NHWC batch `base`
     /// (`batch×ih×iw×ic`, square `r×r` filter, symmetric stride and pad):
     /// the offset table `iwino-indirect` builds, restated test-locally.
@@ -938,37 +850,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_tn_scalar_lane_bitwise_matches_native() {
-        let _g = force_guard();
-        let (ih, iw, ic, r) = (9, 7, 7, 3);
-        let (offsets, rpb, stride) = conv_table(ih, iw, ic, r, 1, 1);
-        let mut base = vec![0.0f32; 2 * stride];
-        fill(&mut base, 71);
-        let g = GatherA {
-            base: &base,
-            offsets: &offsets,
-            taps: r * r,
-            seg: ic,
-            rows_per_block: rpb,
-            block_stride: stride,
-        };
-        let (rows, n) = (2 * rpb, NR + 3);
-        let mut b = vec![0.0f32; rows * n];
-        fill(&mut b, 72);
-        let mut native = vec![0.0f32; g.k() * n];
-        sgemm_gather_tn(rows, &g, n, &b, &mut native, &AllocScratch);
-        let mut scalar_out = vec![0.0f32; g.k() * n];
-        {
-            let _r = RestoreDispatch;
-            iwino_simd::set_force_scalar(true);
-            sgemm_gather_tn(rows, &g, n, &b, &mut scalar_out, &AllocScratch);
-        }
-        for (i, (x, y)) in native.iter().zip(&scalar_out).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "idx {i}: {x:?} vs scalar {y:?}");
-        }
-    }
-
-    #[test]
     fn nonfinite_inputs_propagate_like_naive() {
         // 0·∞ and 0·NaN must reach C (the seed kernel's zero-skip dropped
         // them); the packed path performs the naive op sequence, so even
@@ -990,59 +871,6 @@ mod tests {
         assert!(want.iter().any(|v| v.is_nan()), "test must exercise a NaN product");
         for (x, y) in c.iter().zip(&want) {
             assert_eq!(x.to_bits(), y.to_bits(), "{x:?} vs naive {y:?}");
-        }
-    }
-
-    #[test]
-    fn scalar_lane_bitwise_matches_native() {
-        let _g = force_guard();
-        let (m, n, k) = (MC + 5, 2 * NR + 7, KC + 3);
-        let mut a = vec![0.0f32; m * k];
-        let mut b = vec![0.0f32; k * n];
-        fill(&mut a, 41);
-        fill(&mut b, 42);
-        let mut native = vec![0.0f32; m * n];
-        sgemm(m, n, k, &a, &b, &mut native);
-        let mut scalar_out = vec![0.0f32; m * n];
-        {
-            let _r = RestoreDispatch;
-            iwino_simd::set_force_scalar(true);
-            sgemm(m, n, k, &a, &b, &mut scalar_out);
-        }
-        for (i, (x, y)) in native.iter().zip(&scalar_out).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "idx {i}: {x:?} vs scalar {y:?}");
-        }
-    }
-
-    #[test]
-    fn scalar_lane_bitwise_sweep_over_edge_tiles() {
-        let _g = force_guard();
-        // Every m (mod MR) and n (mod NR) residue class near a boundary,
-        // including m < MR and k = 1.
-        for (m, n, k) in [
-            (1, 1, 1),
-            (MR - 1, NR - 1, 1),
-            (MR, NR, KC),
-            (MR + 1, NR + 1, KC + 1),
-            (2 * MR + 3, 3 * NR - 5, 17),
-            (MC, NR, KC),
-            (MC + 1, NR + 9, 2 * KC + 1),
-        ] {
-            let mut a = vec![0.0f32; m * k];
-            let mut b = vec![0.0f32; k * n];
-            fill(&mut a, (m * 31 + n * 7 + k) as u32);
-            fill(&mut b, (m * 13 + n * 3 + k) as u32);
-            let mut native = vec![0.0f32; m * n];
-            sgemm(m, n, k, &a, &b, &mut native);
-            let mut scalar_out = vec![0.0f32; m * n];
-            {
-                let _r = RestoreDispatch;
-                iwino_simd::set_force_scalar(true);
-                sgemm(m, n, k, &a, &b, &mut scalar_out);
-            }
-            for (i, (x, y)) in native.iter().zip(&scalar_out).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "({m}x{n}x{k}) idx {i}");
-            }
         }
     }
 

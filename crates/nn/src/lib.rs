@@ -26,25 +26,19 @@
 
 pub mod conv;
 pub mod data;
-pub mod dropout;
-pub mod extras;
 pub mod init;
 pub mod layer;
 pub mod layers;
 pub mod loss;
 pub mod model;
 pub mod optim;
-pub mod serialize;
 pub mod train;
 
 pub use conv::{Backend, Conv2d};
 pub use data::SyntheticDataset;
-pub use dropout::Dropout;
-pub use extras::{apply_weight_decay, clip_grad_norm, AvgPool2d, ConstantLr, CosineAnneal, LrSchedule, StepDecay};
 pub use layer::{Layer, Param};
 pub use layers::{BatchNorm2d, Flatten, LeakyReLU, Linear, MaxPool2d};
 pub use loss::SoftmaxCrossEntropy;
 pub use model::{resnet18, resnet34, vgg16, vgg16x5, vgg16x7, vgg19, Sequential};
 pub use optim::{Adam, Optimizer, Sgdm};
-pub use serialize::{load_weights, save_weights, weight_file_bytes};
 pub use train::{evaluate, train, OptKind, TrainConfig, TrainReport};

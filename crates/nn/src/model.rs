@@ -28,10 +28,6 @@ impl Sequential {
         self.layers.push(Box::new(l));
     }
 
-    pub fn push_boxed(&mut self, l: Box<dyn Layer>) {
-        self.layers.push(l);
-    }
-
     /// Total learnable parameters.
     pub fn param_count(&mut self) -> usize {
         self.layers.iter_mut().flat_map(|l| l.params()).map(|p| p.len()).sum()

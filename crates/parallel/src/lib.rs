@@ -15,11 +15,12 @@
 //! work via the index argument; mutable output access goes through
 //! [`SliceParts`] (a checked disjoint-chunk splitter) or per-index slices.
 //!
-//! Observability: while `iwino_obs::enabled()` is set, every pooled job
-//! additionally records per-lane chunk counts and busy/idle nanoseconds
-//! (lane 0 is the submitting caller) into the pool's own totals, read
-//! through [`ThreadPool::report`]. When recording is off, jobs take
-//! exactly the pre-instrumentation path (one branch on an `Option`).
+//! Utilization: every job records per-lane chunk counts and busy/idle
+//! nanoseconds (lane 0 is the submitting caller) into the pool's own
+//! totals, read through [`ThreadPool::report`] — whether or not
+//! process-wide `iwino_obs` recording is on, so a privately owned pool
+//! (e.g. a batch server's) reports its own work. The cost is two clock
+//! reads per claimed chunk.
 
 use iwino_obs as obs;
 use std::cell::Cell;
@@ -51,19 +52,13 @@ unsafe impl Send for TaskPtr {}
 // SAFETY: as for Send above — the referent is Sync and outlives every use.
 unsafe impl Sync for TaskPtr {}
 
-/// Per-lane accounting for a single job; allocated only while recording.
-struct JobStats {
-    lane_chunks: Vec<AtomicU64>,
-    lane_busy_ns: Vec<AtomicU64>,
-}
-
-impl JobStats {
-    fn new(lanes: usize) -> JobStats {
-        JobStats {
-            lane_chunks: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
-            lane_busy_ns: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
+/// One lane's accounting for the job in flight. Jobs are serialized by
+/// `submit_lock`, so the pool owns one slot per lane and `run` folds it
+/// into the cumulative totals and zeroes it after each job's barrier.
+#[derive(Default)]
+struct LaneJob {
+    chunks: AtomicU64,
+    busy_ns: AtomicU64,
 }
 
 struct Job {
@@ -74,65 +69,52 @@ struct Job {
     end: usize,
     /// Indices claimed per `fetch_add`.
     chunk: usize,
-    /// Present only while observability recording is on.
-    stats: Option<JobStats>,
 }
 
 impl Job {
-    /// Claim and execute chunks until the job is drained. `lane` indexes
-    /// the stats row (0 = submitting caller).
-    fn work(&self, lane: usize) {
+    /// Claim and execute chunks until the job is drained, accounting each
+    /// chunk in `slot`, the executing lane's slot (lane 0 = submitting
+    /// caller).
+    fn work(&self, slot: &LaneJob) {
         // SAFETY: the pointer was created in `run` from a live `&(dyn
         // Fn(usize) + Sync)` and `run` does not return (releasing that
         // borrow) until `running == 0`, which this worker contributes to
         // only after its last `task` call — the referent is alive and
         // shared-immutable for the whole loop below.
         let task = unsafe { &*self.task.0 };
-        match &self.stats {
-            None => loop {
-                // ORDERING: Relaxed — the claim counter is an atomic RMW, so
-                // each chunk is handed out exactly once regardless of
-                // ordering; the task's *results* are published by the
-                // job-done mutex/condvar barrier in `run`, not by this.
-                let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-                if start >= self.end {
-                    break;
-                }
-                // Flight-recorder marker for the worker timeline: one
-                // begin/end pair per executed chunk, on this lane's own
-                // ring. A no-op (one relaxed load) unless tracing is on.
-                let _chunk_span = obs::trace_span(obs::Stage::WorkerChunk);
-                let stop = (start + self.chunk).min(self.end);
-                for i in start..stop {
-                    task(i);
-                }
-            },
-            Some(stats) => loop {
-                // ORDERING: Relaxed — same claim-counter argument as above.
-                let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-                if start >= self.end {
-                    break;
-                }
-                let _chunk_span = obs::trace_span(obs::Stage::WorkerChunk);
-                let stop = (start + self.chunk).min(self.end);
-                let t0 = Instant::now();
-                for i in start..stop {
-                    task(i);
-                }
-                // ORDERING: Relaxed — per-lane monotonic accounting, read
-                // only in `absorb_job_stats` after the completion barrier.
-                stats.lane_busy_ns[lane].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                stats.lane_chunks[lane].fetch_add(1, Ordering::Relaxed);
-            },
+        loop {
+            // ORDERING: Relaxed — the claim counter is an atomic RMW, so
+            // each chunk is handed out exactly once regardless of
+            // ordering; the task's *results* are published by the
+            // job-done mutex/condvar barrier in `run`, not by this.
+            let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
+            if start >= self.end {
+                break;
+            }
+            // Flight-recorder marker for the worker timeline: one
+            // begin/end pair per executed chunk, on this lane's own
+            // ring. A no-op (one relaxed load) unless tracing is on.
+            let _chunk_span = obs::trace_span(obs::Stage::WorkerChunk);
+            let stop = (start + self.chunk).min(self.end);
+            let t0 = Instant::now();
+            for i in start..stop {
+                task(i);
+            }
+            // ORDERING: Relaxed — per-lane monotonic accounting, read
+            // only in `absorb_job_stats` after the completion barrier.
+            slot.busy_ns
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            slot.chunks.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-#[derive(Default)]
 struct Shared {
     state: Mutex<State>,
     job_ready: Condvar,
     job_done: Condvar,
+    /// One accounting slot per lane for the job in flight.
+    lane_job: Vec<LaneJob>,
 }
 
 #[derive(Default)]
@@ -177,7 +159,12 @@ impl ThreadPool {
     /// distinguishable in exported timelines.
     pub fn with_name(threads: usize, prefix: &str) -> Self {
         let threads = threads.max(1);
-        let shared = Arc::new(Shared::default());
+        let shared = Arc::new(Shared {
+            state: Mutex::default(),
+            job_ready: Condvar::new(),
+            job_done: Condvar::new(),
+            lane_job: (0..threads).map(|_| LaneJob::default()).collect(),
+        });
         let workers = (1..threads)
             .map(|w| {
                 let shared = Arc::clone(&shared);
@@ -227,8 +214,7 @@ impl ThreadPool {
             // outer job; top-level serial runs (single-lane pool, n == 1)
             // still record caller-lane utilization so 1-CPU hosts get a
             // pool section in their metrics reports.
-            let record_serial = obs::enabled() && !IN_WORKER.with(|f| f.get());
-            let t0 = record_serial.then(Instant::now);
+            let t0 = (!IN_WORKER.with(|f| f.get())).then(Instant::now);
             {
                 // The serial path is one "chunk" on the caller lane; give it
                 // the same timeline marker the threaded path gets.
@@ -262,13 +248,11 @@ impl ThreadPool {
         let task_static: TaskPtr = TaskPtr(unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(task as *const _)
         });
-        let recording = obs::enabled();
         let job = Arc::new(Job {
             task: task_static,
             next: AtomicUsize::new(0),
             end: n,
             chunk,
-            stats: recording.then(|| JobStats::new(self.threads)),
         });
         let job_start = Instant::now();
         {
@@ -285,7 +269,7 @@ impl ThreadPool {
         // nested `run` from inside the task runs serially instead of
         // re-locking `submit_lock` on this thread.
         let was_worker = IN_WORKER.with(|f| f.replace(true));
-        job.work(0);
+        job.work(&self.shared.lane_job[0]);
         IN_WORKER.with(|f| f.set(was_worker));
         // Wait for the workers to drain the job.
         {
@@ -297,9 +281,7 @@ impl ThreadPool {
             }
             st.job = None;
         }
-        if let Some(stats) = &job.stats {
-            self.absorb_job_stats(stats, job_start.elapsed().as_nanos() as u64);
-        }
+        self.absorb_job_stats(job_start.elapsed().as_nanos() as u64);
     }
 
     /// Run `task` over `0..n` in contiguous ranges — for kernels that
@@ -342,20 +324,21 @@ impl ThreadPool {
         self.run(pieces.len(), &|p| task(pieces[p].clone()));
     }
 
-    /// Fold one job's per-lane stats into the pool's cumulative totals.
+    /// Fold the finished job's per-lane slots into the pool's cumulative
+    /// totals and zero them for the next job (still under `submit_lock`).
     /// A lane's idle time is the job's wall time it did not spend running
     /// chunks — for workers that includes the wake-up latency, for the
     /// caller the completion wait.
-    fn absorb_job_stats(&self, stats: &JobStats, wall_ns: u64) {
+    fn absorb_job_stats(&self, wall_ns: u64) {
         // ORDERING: Relaxed throughout — the completion wait in `run`
-        // (job_done mutex/condvar) happens-before this, so the job's stats
-        // are final; the cumulative totals are monotonic counters with no
-        // data published through them.
+        // (job_done mutex/condvar) happens-before this, so the job's slots
+        // are final, and the next job is published under the state mutex
+        // after these swaps; the cumulative totals are monotonic counters
+        // with no data published through them.
         self.jobs.fetch_add(1, Ordering::Relaxed);
-        for lane in 0..self.threads {
-            let busy = stats.lane_busy_ns[lane].load(Ordering::Relaxed);
-            let chunks = stats.lane_chunks[lane].load(Ordering::Relaxed); // ORDERING: as above
-            let totals = &self.lane_totals[lane];
+        for (slot, totals) in self.shared.lane_job.iter().zip(&self.lane_totals) {
+            let busy = slot.busy_ns.swap(0, Ordering::Relaxed);
+            let chunks = slot.chunks.swap(0, Ordering::Relaxed); // ORDERING: as above
             totals.chunks.fetch_add(chunks, Ordering::Relaxed);
             totals.busy_ns.fetch_add(busy, Ordering::Relaxed);
             totals
@@ -364,8 +347,8 @@ impl ThreadPool {
         }
     }
 
-    /// Cumulative utilization report over every recorded job since
-    /// construction or [`ThreadPool::reset_stats`].
+    /// Cumulative utilization report over every job since construction or
+    /// [`ThreadPool::reset_stats`].
     pub fn report(&self) -> obs::PoolReport {
         obs::PoolReport {
             threads: self.threads,
@@ -437,7 +420,7 @@ fn worker_loop(shared: &Shared, lane: usize) {
             }
         };
         if let Some(job) = job {
-            job.work(lane);
+            job.work(&shared.lane_job[lane]);
             let mut st = shared.state.lock().unwrap();
             st.running -= 1;
             if st.running == 0 {
@@ -477,13 +460,6 @@ pub fn reset_global_stats() {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    // Tests that flip the process-wide obs flag serialize behind this lock
-    // so they don't race each other (other tests never enable recording).
-    fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn runs_every_index_exactly_once() {
@@ -577,25 +553,29 @@ mod tests {
     }
 
     #[test]
-    fn stats_not_recorded_while_disabled() {
-        let _g = obs_guard();
-        obs::set_enabled(false);
+    fn stats_counted_with_obs_recording_off() {
+        // The pool owns its statistics: a job is counted whatever the
+        // process-global obs flag says, and this test binary never turns
+        // recording on.
         let pool = ThreadPool::new(4);
         pool.run(512, &|_| {});
         let report = pool.report();
-        assert_eq!(report.jobs, 0);
-        assert!(report.workers.iter().all(|w| w.chunks == 0));
+        assert_eq!(report.jobs, 1);
+        // 512 indices at chunk size 512/(4*4) = 32 → 16 claimed chunks.
+        assert_eq!(report.workers.iter().map(|w| w.chunks).sum::<u64>(), 16);
+        // The serial path counts too: one job, one caller-lane chunk.
+        pool.run(1, &|_| {});
+        let report = pool.report();
+        assert_eq!(report.jobs, 2);
+        assert_eq!(report.workers.iter().map(|w| w.chunks).sum::<u64>(), 17);
     }
 
     #[test]
-    fn stats_recorded_and_reset_while_enabled() {
-        let _g = obs_guard();
-        obs::set_enabled(true);
+    fn stats_recorded_and_reset() {
         let pool = ThreadPool::new(4);
         pool.run(4096, &|i| {
             std::hint::black_box(i * i);
         });
-        obs::set_enabled(false);
         let report = pool.report();
         assert_eq!(report.jobs, 1);
         assert_eq!(report.threads, 4);

@@ -9,18 +9,22 @@
 //!   submitted — per-lane chunk counts sum to the number of task
 //!   invocations, and one job is recorded per `run_*` call.
 //!
-//! Each test builds its own pool (never the global one), so the report
-//! totals are exact; tests still serialize behind [`guard`] because the
-//! flight-recorder pairing test needs a quiesced process to export.
+//! Each test builds its own pool (never the global one), and a pool counts
+//! its own work with process-wide obs recording off, so the report totals
+//! are exact. Tests still serialize behind [`guard`] because the flight
+//! recorder is process-global: the pairing test needs every other pool in
+//! this binary quiet while it records and exports.
 
 use iwino_obs::Json;
 use iwino_parallel::ThreadPool;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// The flight-recorder gate and rings are process-global; the pairing test
-/// below must export a quiesced trace, so every test in this binary
-/// serializes here (they would otherwise interleave worker-chunk events
-/// from concurrent pools into the exported timeline).
+/// below must export a quiesced trace, so every test in this binary that
+/// runs a pool serializes here (they would otherwise interleave worker-chunk
+/// events from concurrent pools into the exported timeline, or leave a span
+/// open across the export). A lock only the pairing test took would
+/// exclude nothing.
 fn guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -44,10 +48,6 @@ fn check_exactly_once(
     n: usize,
     submit: impl Fn(&ThreadPool, &(dyn Fn(std::ops::Range<usize>) + Sync)),
 ) -> u64 {
-    // Pool utilization stats are only collected while obs is enabled. The
-    // flag is process-global, but every test here wants it on and this
-    // binary is its own process, so there is nothing to restore.
-    iwino_obs::set_enabled(true);
     let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let pieces = AtomicU64::new(0);
     pool.reset_stats();
@@ -169,10 +169,7 @@ fn oversubscribed_pool_with_fewer_indices_than_lanes() {
 
 #[test]
 fn empty_range_is_a_noop() {
-    let _g = guard();
-    iwino_obs::set_enabled(true);
     let pool = ThreadPool::new(4);
-    pool.reset_stats();
     pool.run_chunked_weighted(0, &|_| 1, &|_r| panic!("task must not run for n = 0"));
     pool.run_chunked_weighted(0, &|_| panic!("cost must not run for n = 0"), &|_r| {
         panic!("task must not run for n = 0")
@@ -183,7 +180,6 @@ fn empty_range_is_a_noop() {
 #[test]
 fn trace_events_pair_up_across_skewed_workers() {
     let _g = guard();
-    iwino_obs::set_enabled(true);
     iwino_obs::reset_trace();
     iwino_obs::set_trace_enabled(true);
     let pool = ThreadPool::new(4);

@@ -82,10 +82,6 @@ impl Rational {
         self.num == 0
     }
 
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     pub fn is_negative(&self) -> bool {
         self.num < 0
     }

@@ -298,11 +298,6 @@ impl Server {
         self.shared.state.lock().unwrap().queues.iter().map(VecDeque::len).sum()
     }
 
-    /// Registered bucket labels, in registration order.
-    pub fn bucket_labels(&self) -> Vec<&str> {
-        self.shared.buckets.iter().map(|b| b.label.as_str()).collect()
-    }
-
     /// Per-bucket serving counters.
     pub fn stats(&self) -> ServerStats {
         ServerStats {

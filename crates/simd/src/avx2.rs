@@ -16,7 +16,7 @@
 //! the dispatch table strictly after `is_x86_feature_detected!` confirms
 //! AVX2+FMA (see `crate::resolve`).
 
-use crate::LANE;
+use crate::{LANE, MR, NR};
 use core::arch::x86_64::*;
 
 /// Safe dispatch-table entry with [`crate::scalar::outer_product_row`]
@@ -424,5 +424,50 @@ unsafe fn transform_step_impl(
     for k in 0..rem {
         *dst0.add(nb * LANE + k) = even_r[k] + odd_r[k];
         *dst1.add(nb * LANE + k) = even_r[k] - odd_r[k];
+    }
+}
+
+/// Safe dispatch-table entry with [`crate::scalar::tile_6x16`] semantics:
+/// `C[MR×NR] += Aᵖ[kc×MR] · Bᵖ[kc×NR]`, accumulators initialized from C.
+///
+/// Register budget: 6 rows × 2 ymm accumulators = 12, plus two B loads and
+/// one A broadcast per k step — 15 of the 16 ymm registers. Packed panels
+/// are always full `MR`/`NR` groups (the packers zero-pad edges), so no
+/// masked tails are needed.
+pub(crate) fn tile_6x16(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
+    assert!(a.len() >= kc * MR, "A micro-panel too short");
+    assert!(b.len() >= kc * NR, "B micro-panel too short");
+    assert!(ldc >= NR, "C row stride below tile width");
+    assert!(c.len() >= (MR - 1) * ldc + NR, "C tile out of bounds");
+    // SAFETY: this entry is dispatched only after runtime detection of
+    // avx2+fma (crate::resolve); the asserts above bound every offset the
+    // kernel derives — `a[kk·MR + r]` and `b[kk·NR + j]` for `kk < kc`,
+    // and `c[r·ldc + j]` for `r < MR`, `j < NR`.
+    unsafe { tile_6x16_impl(kc, a.as_ptr(), b.as_ptr(), c.as_mut_ptr(), ldc) }
+}
+
+// SAFETY: (caller contract) callers must ensure AVX2 support, readability
+// of `a[..kc*MR]` and `b[..kc*NR]`, and writability of `c[r*ldc ..][..NR]`
+// for every `r < MR` — asserted by the wrapper above.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tile_6x16_impl(kc: usize, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
+    let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row[0] = _mm256_loadu_ps(c.add(r * ldc));
+        row[1] = _mm256_loadu_ps(c.add(r * ldc + LANE));
+    }
+    for kk in 0..kc {
+        let b0 = _mm256_loadu_ps(b.add(kk * NR));
+        let b1 = _mm256_loadu_ps(b.add(kk * NR + LANE));
+        let ak = a.add(kk * MR);
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = _mm256_set1_ps(*ak.add(r));
+            row[0] = _mm256_add_ps(row[0], _mm256_mul_ps(av, b0));
+            row[1] = _mm256_add_ps(row[1], _mm256_mul_ps(av, b1));
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        _mm256_storeu_ps(c.add(r * ldc), row[0]);
+        _mm256_storeu_ps(c.add(r * ldc + LANE), row[1]);
     }
 }

@@ -1,12 +1,13 @@
-//! Runtime-dispatched SIMD microkernels for the Γ hot path.
+//! Runtime-dispatched SIMD microkernels for the Γ hot path and the packed
+//! GEMM — the one crate that knows which ISA runs.
 //!
 //! The paper's performance story (§5.2–§5.4) rests on every transform and
 //! accumulation step vectorising along the contiguous NHWC channel axis.
-//! The kernels in `iwino-core` and `iwino-transforms` originally left that
-//! to LLVM's autovectorizer over safe scalar loops; this crate provides
-//! explicit-intrinsic implementations of the two primitives those hot
-//! paths are built from, selected **once** at runtime into a
-//! function-pointer table ([`Microkernels`]):
+//! The kernels in `iwino-core`, `iwino-transforms` and `iwino-gemm`
+//! originally left that to LLVM's autovectorizer over safe scalar loops;
+//! this crate provides explicit-intrinsic implementations of the
+//! primitives those hot paths are built from, selected **once** at runtime
+//! into a function-pointer table ([`Microkernels`]):
 //!
 //! * [`Microkernels::outer_product_row`] — one α-state row of the
 //!   register-blocked outer product (`arow[k] += Σ_i txs[i] ·
@@ -16,16 +17,19 @@
 //!   the stage's dominant memory stream (see [`OuterProductRow2Fn`]);
 //! * [`Microkernels::transform_step`] — one channel block of one paired
 //!   `Dᵀ`/`Aᵀ` plan step (§5.3 even/odd pairing), shared by the input
-//!   transform and the fused output-transform epilogue.
+//!   transform and the fused output-transform epilogue;
+//! * [`Microkernels::tile_6x16`] — the packed GEMM's [`MR`]×[`NR`]
+//!   register tile (`C += Aᵖ·Bᵖ` over k-major micro-panels).
 //!
 //! Three paths exist: AVX2+FMA (x86-64, 8-lane `__m256` matching
 //! [`LANE`]), AArch64 NEON (4-lane `float32x4_t`), and the original safe
-//! scalar code (moved here verbatim, see [`scalar`]) as the universal
-//! fallback. **Every path is bit-for-bit identical**: the SIMD kernels use
-//! separate multiply and add ops (never a single-rounding fused
-//! multiply-add) in the same per-element accumulation order as scalar, so
-//! dispatch never changes results — the conformance net asserts this
-//! bitwise across every `(n, r)` kernel and tail width.
+//! scalar code (moved here verbatim into a private `scalar` module) as the
+//! universal fallback. **Every path is bit-for-bit identical**: the SIMD
+//! kernels use separate multiply and add ops (never a single-rounding
+//! fused multiply-add) in the same per-element accumulation order as
+//! scalar, so dispatch never changes results — the conformance net asserts
+//! this bitwise across every `(n, r)` kernel and tail width. Callers always
+//! go through the table; none picks a kernel by [`Microkernels::isa`].
 //!
 //! Dispatch is cached in one relaxed atomic byte and can be overridden to
 //! the scalar fallback via the `IWINO_FORCE_SCALAR` environment variable
@@ -34,7 +38,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-pub mod scalar;
+mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -42,16 +46,23 @@ mod avx2;
 mod neon;
 
 /// Vector lane width the blocked kernels are sized for: 8 f32 = one
-/// 256-bit register. Must equal `iwino_core::plan::LANE` and
-/// `iwino_transforms::LANE` (both cross-checked by tests/const asserts in
-/// those crates).
+/// 256-bit register. The one lane constant of the workspace: `iwino-core`'s
+/// channel panel, `iwino-transforms`' chunk and the GEMM tile width are all
+/// written in terms of it.
 pub const LANE: usize = 8;
 
 /// Channel-chunk width of the strided transform executor (8 lanes). The
 /// [`Microkernels::transform_step`] contract allows any `w` in
-/// `1..=TRANSFORM_CHUNK`; `iwino-transforms` const-asserts its `CHUNK`
-/// equals this.
+/// `1..=TRANSFORM_CHUNK`.
 pub const TRANSFORM_CHUNK: usize = 8 * LANE;
+
+/// GEMM register-tile rows: each packed A micro-panel holds `MR` rows,
+/// k-major.
+pub const MR: usize = 6;
+
+/// GEMM register-tile columns: `2 · LANE`, fixed across ISAs so the packed
+/// B layout is ISA-independent (NEON covers it with 4 q registers).
+pub const NR: usize = 2 * LANE;
 
 /// The instruction set a dispatched table entry is implemented with.
 ///
@@ -89,8 +100,9 @@ impl Isa {
 }
 
 /// `fn(arow, txs, panel, oc, o0)`: accumulate `arow[k] += Σ_i txs[i] ·
-/// panel[i·oc + o0 + k]` for `k < arow.len()`. See
-/// [`scalar::outer_product_row`] for the reference semantics.
+/// panel[i·oc + o0 + k]` for `k < arow.len()`. Output channels are
+/// register-blocked down to a masked tail; per output element the
+/// `i`-order summation is a plain nested loop's.
 pub type OuterProductRowFn = fn(&mut [f32], &[f32], &[f32], usize, usize);
 
 /// `fn(arow0, arow1, txs0, txs1, panel, oc, o0)`: two independent
@@ -100,19 +112,26 @@ pub type OuterProductRowFn = fn(&mut [f32], &[f32], &[f32], usize, usize);
 /// outer product is filter-bound on wide vectors (the panel stream is
 /// `lane_width×` the tx stream), so this is the reuse axis that keeps
 /// AVX2 fed from L2. Per output element the accumulation order is exactly
-/// the single-row kernel's, so pairing never changes results. See
-/// [`scalar::outer_product_row2`].
+/// the single-row kernel's, so pairing never changes results.
 pub type OuterProductRow2Fn = fn(&mut [f32], &mut [f32], &[f32], &[f32], &[f32], usize, usize);
 
 /// `fn(coeffs, paired, x, x_stride, out, out_stride, row, c0, w)`: one
-/// channel block of one paired-transform plan step. See
-/// [`scalar::transform_step`] for the reference semantics.
+/// channel block of one paired-transform plan step — channels
+/// `[c0, c0 + w)` of plan row `row` (and `row + 1` when `paired`). Per
+/// output element the summation order is the plan's column order:
+/// even/odd partial sums, then `e + o` / `e − o`.
 pub type TransformStepFn = fn(&[f32], bool, &[f32], usize, &mut [f32], usize, usize, usize, usize);
 
+/// `fn(kc, a, b, c, ldc)`: `C[MR×NR] += Aᵖ[kc×MR] · Bᵖ[kc×NR]`. `a` holds
+/// `kc` groups of [`MR`] values (k-major A micro-panel), `b` holds `kc`
+/// groups of [`NR`] values (k-major B micro-panel), and `c` is the tile
+/// origin with row stride `ldc ≥ NR`. The accumulators initialize from C
+/// and add each product in ascending `k`, so a blocked GEMM built on the
+/// tile is bitwise equal to the naive left-to-right triple loop.
+pub type Tile6x16Fn = fn(usize, &[f32], &[f32], &mut [f32], usize);
+
 /// One dispatched microkernel set. Obtained from [`kernels`]; the entries
-/// of every set produce bitwise-identical results, so callers may branch
-/// on [`Microkernels::isa`] purely for performance (e.g. calling the
-/// inlinable scalar functions directly instead of through the pointers).
+/// of every set produce bitwise-identical results.
 #[derive(Clone, Copy)]
 pub struct Microkernels {
     pub isa: Isa,
@@ -122,6 +141,7 @@ pub struct Microkernels {
     pub outer_product_row: OuterProductRowFn,
     pub outer_product_row2: OuterProductRow2Fn,
     pub transform_step: TransformStepFn,
+    pub tile_6x16: Tile6x16Fn,
 }
 
 static SCALAR_KERNELS: Microkernels = Microkernels {
@@ -130,6 +150,7 @@ static SCALAR_KERNELS: Microkernels = Microkernels {
     outer_product_row: scalar::outer_product_row,
     outer_product_row2: scalar::outer_product_row2,
     transform_step: scalar::transform_step,
+    tile_6x16: scalar::tile_6x16,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -139,6 +160,7 @@ static AVX2_KERNELS: Microkernels = Microkernels {
     outer_product_row: avx2::outer_product_row,
     outer_product_row2: avx2::outer_product_row2,
     transform_step: avx2::transform_step,
+    tile_6x16: avx2::tile_6x16,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -148,6 +170,7 @@ static NEON_KERNELS: Microkernels = Microkernels {
     outer_product_row: neon::outer_product_row,
     outer_product_row2: neon::outer_product_row2,
     transform_step: neon::transform_step,
+    tile_6x16: neon::tile_6x16,
 };
 
 fn table(isa: Isa) -> &'static Microkernels {
@@ -352,6 +375,7 @@ mod tests {
                 forced.outer_product_row
             ));
             assert!(!std::ptr::fn_addr_eq(native.transform_step, forced.transform_step));
+            assert!(!std::ptr::fn_addr_eq(native.tile_6x16, forced.tile_6x16));
         }
     }
 
@@ -410,6 +434,48 @@ mod tests {
                             native.isa.name()
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_6x16_matches_scalar_bitwise() {
+        let _g = force_guard();
+        let _r = RestoreDispatch;
+        set_force_scalar(false);
+        let native = *kernels();
+        for kc in [1usize, 2, 7, 256] {
+            let mut a = vec![0.0f32; kc * MR];
+            let mut b = vec![0.0f32; kc * NR];
+            fill(&mut a, 61 + kc as u32);
+            fill(&mut b, 67 + kc as u32);
+            // Non-finite entries: ∞·0 and NaN operands must reach C, and
+            // ±∞ sums must agree with scalar to the NaN bit pattern.
+            a[0] = f32::INFINITY;
+            b[0] = 0.0;
+            b[NR - 1] = f32::NEG_INFINITY;
+            a[(kc - 1) * MR + MR - 1] = f32::NAN;
+            for ldc in [NR, NR + 5] {
+                // The whole buffer is compared, so a write into the
+                // `ldc − NR` gap between tile rows is caught too.
+                let mut c_scalar = vec![0.0f32; (MR - 1) * ldc + NR];
+                fill(&mut c_scalar, 71 + (kc + ldc) as u32);
+                c_scalar[ldc + 3] = f32::NEG_INFINITY;
+                let mut c_native = c_scalar.clone();
+                scalar::tile_6x16(kc, &a, &b, &mut c_scalar, ldc);
+                (native.tile_6x16)(kc, &a, &b, &mut c_native, ldc);
+                assert!(
+                    c_scalar.iter().any(|v| v.is_nan()),
+                    "the test must exercise a NaN product"
+                );
+                for (i, (s, n)) in c_scalar.iter().zip(&c_native).enumerate() {
+                    assert_eq!(
+                        s.to_bits(),
+                        n.to_bits(),
+                        "kc={kc} ldc={ldc} idx {i}: scalar {s} vs {} {n}",
+                        native.isa.name()
+                    );
                 }
             }
         }

@@ -11,7 +11,7 @@
 //! enter the dispatch table only after `is_aarch64_feature_detected!`
 //! confirms NEON (see `crate::resolve`).
 
-use crate::LANE;
+use crate::{LANE, MR, NR};
 use core::arch::aarch64::*;
 
 /// NEON vector width in f32 lanes (one 128-bit q register).
@@ -371,5 +371,61 @@ unsafe fn transform_step_impl(
     for k in 0..rem {
         *dst0.add(nb * NL + k) = even_r[k] + odd_r[k];
         *dst1.add(nb * NL + k) = even_r[k] - odd_r[k];
+    }
+}
+
+/// Safe dispatch-table entry with [`crate::scalar::tile_6x16`] semantics:
+/// `C[MR×NR] += Aᵖ[kc×MR] · Bᵖ[kc×NR]`, accumulators initialized from C.
+///
+/// Register budget: 6 rows × 4 q accumulators = 24, plus four B loads and
+/// one A broadcast per k step — 29 of the 32 q registers. Packed panels are
+/// always full `MR`/`NR` groups (the packers zero-pad edges), so no
+/// remainder lanes are needed.
+pub(crate) fn tile_6x16(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
+    assert!(a.len() >= kc * MR, "A micro-panel too short");
+    assert!(b.len() >= kc * NR, "B micro-panel too short");
+    assert!(ldc >= NR, "C row stride below tile width");
+    assert!(c.len() >= (MR - 1) * ldc + NR, "C tile out of bounds");
+    // SAFETY: this entry is dispatched only after runtime detection of NEON
+    // (crate::resolve); the asserts above bound every offset the kernel
+    // derives — `a[kk·MR + r]` and `b[kk·NR + j]` for `kk < kc`, and
+    // `c[r·ldc + j]` for `r < MR`, `j < NR`.
+    unsafe { tile_6x16_impl(kc, a.as_ptr(), b.as_ptr(), c.as_mut_ptr(), ldc) }
+}
+
+// SAFETY: (caller contract) callers must ensure NEON support, readability
+// of `a[..kc*MR]` and `b[..kc*NR]`, and writability of `c[r*ldc ..][..NR]`
+// for every `r < MR` — asserted by the wrapper above.
+#[target_feature(enable = "neon")]
+unsafe fn tile_6x16_impl(kc: usize, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
+    let mut acc = [[vdupq_n_f32(0.0); 4]; MR];
+    for (r, row) in acc.iter_mut().enumerate() {
+        let cr = c.add(r * ldc);
+        row[0] = vld1q_f32(cr);
+        row[1] = vld1q_f32(cr.add(4));
+        row[2] = vld1q_f32(cr.add(8));
+        row[3] = vld1q_f32(cr.add(12));
+    }
+    for kk in 0..kc {
+        let bk = b.add(kk * NR);
+        let b0 = vld1q_f32(bk);
+        let b1 = vld1q_f32(bk.add(4));
+        let b2 = vld1q_f32(bk.add(8));
+        let b3 = vld1q_f32(bk.add(12));
+        let ak = a.add(kk * MR);
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = vdupq_n_f32(*ak.add(r));
+            row[0] = vaddq_f32(row[0], vmulq_f32(av, b0));
+            row[1] = vaddq_f32(row[1], vmulq_f32(av, b1));
+            row[2] = vaddq_f32(row[2], vmulq_f32(av, b2));
+            row[3] = vaddq_f32(row[3], vmulq_f32(av, b3));
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let cr = c.add(r * ldc);
+        vst1q_f32(cr, row[0]);
+        vst1q_f32(cr.add(4), row[1]);
+        vst1q_f32(cr.add(8), row[2]);
+        vst1q_f32(cr.add(12), row[3]);
     }
 }

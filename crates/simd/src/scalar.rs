@@ -1,14 +1,12 @@
 //! The safe-scalar fallback: the exact loops the Γ kernels ran before
 //! explicit dispatch existed (moved verbatim from `iwino-core::kernel` and
-//! `iwino-transforms::paired`), kept as the universal reference — every
-//! SIMD path in this crate must reproduce these functions bit-for-bit.
-//!
-//! The functions are `#[inline]` so the hot paths can keep calling them
-//! *directly* (not through the dispatch table's function pointers) when
-//! scalar is the dispatched ISA, preserving the pre-dispatch codegen and
-//! its 0%-regression guarantee.
+//! `iwino-transforms::paired`), plus the packed GEMM's 6×16 register tile,
+//! kept as the universal reference — every SIMD path in this crate must
+//! reproduce these functions bit-for-bit. Nothing outside this crate calls
+//! them directly: the forced-scalar lane reaches them through the
+//! dispatch table like any other ISA.
 
-use crate::{LANE, TRANSFORM_CHUNK};
+use crate::{LANE, MR, NR, TRANSFORM_CHUNK};
 
 /// One α-state row of the outer product: `arow[k] += Σ_i txs[i] ·
 /// panel[i·oc + o0 + k]` for `k < arow.len()` — the element-wise multiply
@@ -18,7 +16,7 @@ use crate::{LANE, TRANSFORM_CHUNK};
 /// whole channel lane; per output element the `i`-order summation is
 /// identical to a plain nested loop, keeping every path bitwise-comparable.
 #[inline]
-pub fn outer_product_row(arow: &mut [f32], txs: &[f32], panel: &[f32], oc: usize, o0: usize) {
+pub(crate) fn outer_product_row(arow: &mut [f32], txs: &[f32], panel: &[f32], oc: usize, o0: usize) {
     let ocb = arow.len();
     let mut o = 0usize;
     while o + 4 * LANE <= ocb {
@@ -41,7 +39,7 @@ pub fn outer_product_row(arow: &mut [f32], txs: &[f32], panel: &[f32], oc: usize
 /// is the same arithmetic in the same per-element order, so this *is* the
 /// bitwise reference for the fused versions.
 #[inline]
-pub fn outer_product_row2(
+pub(crate) fn outer_product_row2(
     arow0: &mut [f32],
     arow1: &mut [f32],
     txs0: &[f32],
@@ -97,7 +95,7 @@ fn fma_tail(arow: &mut [f32], txs: &[f32], panel: &[f32], oc: usize, o0: usize) 
 /// per-element order.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub fn transform_step(
+pub(crate) fn transform_step(
     coeffs: &[f32],
     paired: bool,
     x: &[f32],
@@ -132,5 +130,36 @@ pub fn transform_step(
     let o1 = &mut out[(row + 1) * out_stride + c0..(row + 1) * out_stride + c0 + w];
     for (c, o) in o1.iter_mut().enumerate() {
         *o = even[c] - odd[c];
+    }
+}
+
+/// The packed GEMM's register tile: `C[MR×NR] += Aᵖ[kc×MR] · Bᵖ[kc×NR]`.
+///
+/// `a` holds `kc` groups of `MR` column values (k-major A micro-panel), `b`
+/// holds `kc` groups of `NR` row values (k-major B micro-panel), and `c` is
+/// the tile origin with row stride `ldc ≥ NR`. The accumulators initialize
+/// from C, so the caller chooses overwrite-vs-accumulate by zeroing C first.
+/// Each C element accumulates its `k` products in ascending-`k` order with
+/// a separate multiply and add — the order the SIMD tiles reproduce.
+pub(crate) fn tile_6x16(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
+    assert!(a.len() >= kc * MR, "A micro-panel too short");
+    assert!(b.len() >= kc * NR, "B micro-panel too short");
+    assert!(ldc >= NR, "C row stride below tile width");
+    assert!(c.len() >= (MR - 1) * ldc + NR, "C tile out of bounds");
+    let mut acc = [[0.0f32; NR]; MR];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
+    }
+    for kk in 0..kc {
+        let av = &a[kk * MR..kk * MR + MR];
+        let bv = &b[kk * NR..kk * NR + NR];
+        for (row, &ar) in acc.iter_mut().zip(av) {
+            for (slot, &bj) in row.iter_mut().zip(bv) {
+                *slot += ar * bj;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        c[r * ldc..r * ldc + NR].copy_from_slice(row);
     }
 }

@@ -74,39 +74,6 @@ pub fn nchw_to_nhwc<T: Scalar>(x: &Tensor4<T>) -> Tensor4<T> {
     out
 }
 
-/// Convert a feature map from NHWC to CHWN (the third layout the paper's
-/// conclusion mentions as a porting target).
-pub fn nhwc_to_chwn<T: Scalar>(x: &Tensor4<T>) -> Tensor4<T> {
-    let [n, h, w, c] = x.dims();
-    let mut out = Tensor4::zeros([c, h, w, n]);
-    for b in 0..n {
-        for i in 0..h {
-            for j in 0..w {
-                for k in 0..c {
-                    *out.at_mut(k, i, j, b) = x.at(b, i, j, k);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Convert a feature map from CHWN back to NHWC.
-pub fn chwn_to_nhwc<T: Scalar>(x: &Tensor4<T>) -> Tensor4<T> {
-    let [c, h, w, n] = x.dims();
-    let mut out = Tensor4::zeros([n, h, w, c]);
-    for k in 0..c {
-        for i in 0..h {
-            for j in 0..w {
-                for b in 0..n {
-                    *out.at_mut(b, i, j, k) = x.at(k, i, j, b);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,15 +102,6 @@ mod tests {
         *w.at_mut(0, 0, 0, 0) = 5.0;
         let r = rotate_filter_180(&w);
         assert_eq!(r.at(0, 2, 2, 0), 5.0);
-    }
-
-    #[test]
-    fn nhwc_chwn_roundtrip() {
-        let x = Tensor4::<f32>::random([2, 3, 4, 5], 13, -2.0, 2.0);
-        let chwn = nhwc_to_chwn(&x);
-        assert_eq!(chwn.dims(), [5, 3, 4, 2]);
-        assert_eq!(chwn_to_nhwc(&chwn), x);
-        assert_eq!(chwn.at(4, 2, 3, 1), x.at(1, 2, 3, 4));
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod shape;
 pub mod stats;
 pub mod tensor5;
 
-pub use layout::{chwn_to_nhwc, nchw_to_nhwc, nhwc_to_chwn, nhwc_to_nchw, rotate_filter_180, transpose_filter_to_hwio};
+pub use layout::{nchw_to_nhwc, nhwc_to_nchw, rotate_filter_180, transpose_filter_to_hwio};
 pub use shape::ConvShape;
 pub use stats::{max_mixed_error, relative_error_histogram, ErrorStats};
 pub use tensor5::{Conv3dShape, Tensor5};

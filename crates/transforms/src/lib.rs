@@ -30,7 +30,7 @@ pub mod paired;
 
 pub use matrix::Matrix;
 pub use opcount::{effective_phi, gamma_op_count, standard_op_count, OpCount};
-pub use paired::{PairedTransform, LANE};
+pub use paired::PairedTransform;
 
 use iwino_rational::{Poly, Rational};
 
@@ -204,12 +204,6 @@ impl WinogradTransform {
         (self.n * self.r) as f64 / self.alpha as f64
     }
 
-    /// Items loaded per output: `α / n` (the paper compares `33/6` for
-    /// `Γ8(6,3)` against `25/4` for `F(2×2, 3×3)`; per-axis this is `α/n`).
-    pub fn loads_per_output(&self) -> f64 {
-        self.alpha as f64 / self.n as f64
-    }
-
     /// Largest absolute coefficient across `Aᵀ`, `G` and `Dᵀ`.
     pub fn max_abs_coeff(&self) -> Rational {
         self.at.max_abs().max(self.g.max_abs()).max(self.dt.max_abs())
@@ -228,11 +222,6 @@ impl WinogradTransform {
     /// Input transform as a [`PairedTransform`] (simplified transformation).
     pub fn dt_paired(&self) -> PairedTransform {
         PairedTransform::from_matrix(&self.dt)
-    }
-
-    /// Filter transform as a [`PairedTransform`].
-    pub fn g_paired(&self) -> PairedTransform {
-        PairedTransform::from_matrix(&self.g)
     }
 
     /// Output transform as a [`PairedTransform`]. (`Aᵀ` columns — not rows —

@@ -17,32 +17,18 @@
 use crate::Matrix;
 use iwino_simd as simd;
 
-/// Vector lane width of the strided executors: 8 f32 = one 256-bit register.
-/// Must equal `iwino_core::plan::LANE` (checked by a test there); the kernels
-/// size their channel panels in multiples of it so the lane loops below run
-/// `chunks_exact` with no per-chunk remainder handling.
-pub const LANE: usize = 8;
-
 /// Upper bound on the transform dimension `α` the strided executor's stack
 /// coefficient buffer holds. Every kernel in this repo has `α ≤ 16`; the
 /// headroom keeps the bound out of the way of experiments.
 const MAX_COLS: usize = 64;
 
-/// Channel-chunk width of the strided executor: 8 lanes. The accumulators
-/// are `[f32; CHUNK]` stack arrays, sized so the per-coefficient loop
-/// overhead (zero-skip branch, slice bounds) amortises over a long
-/// vectorised inner loop — at [`LANE`]-sized chunks that overhead is paid
-/// once per 256-bit op and dominates the transform.
-const CHUNK: usize = 8 * LANE;
-
-// The chunk geometry is shared with the dispatched microkernels: a
-// `transform_step` entry accepts any width up to the SIMD crate's chunk,
-// and both crates must agree on the lane width the blocks are cut to.
-const _: () = assert!(
-    CHUNK == simd::TRANSFORM_CHUNK,
-    "paired executor chunk must match iwino-simd"
-);
-const _: () = assert!(LANE == simd::LANE, "paired executor lane width must match iwino-simd");
+/// Channel-chunk width of the strided executor: the dispatched
+/// `transform_step`'s widest block, 8 lanes. The microkernel's accumulators
+/// are chunk-sized stack arrays, so the per-coefficient loop overhead
+/// (zero-skip branch, slice bounds) amortises over a long vectorised inner
+/// loop — at lane-sized chunks that overhead is paid once per 256-bit op
+/// and dominates the transform.
+const CHUNK: usize = simd::TRANSFORM_CHUNK;
 
 /// One step of a paired transform plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -190,11 +176,8 @@ impl PairedTransform {
             self.cols
         );
         // One dispatch lookup per call; the per-chunk work below runs on
-        // the selected microkernel. When scalar is dispatched the
-        // (inlinable) fallback is called directly rather than through the
-        // table's function pointer, preserving pre-dispatch codegen.
-        let mk = simd::kernels();
-        let use_scalar = mk.isa == simd::Isa::Scalar;
+        // the selected microkernel.
+        let step_fn = simd::kernels().transform_step;
         let mut mbuf = [0.0f32; MAX_COLS];
         for c0 in (0..width).step_by(CHUNK) {
             let w = CHUNK.min(width - c0);
@@ -206,11 +189,7 @@ impl PairedTransform {
                     *m = self.coeff(row, j) as f32;
                 }
                 let paired = matches!(*step, PlanStep::Pair { .. });
-                if use_scalar {
-                    simd::scalar::transform_step(&mbuf[..self.cols], paired, x, x_stride, out, out_stride, row, c0, w);
-                } else {
-                    (mk.transform_step)(&mbuf[..self.cols], paired, x, x_stride, out, out_stride, row, c0, w);
-                }
+                step_fn(&mbuf[..self.cols], paired, x, x_stride, out, out_stride, row, c0, w);
             }
         }
     }

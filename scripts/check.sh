@@ -95,7 +95,7 @@ echo "== rustdoc (deny warnings) =="
 # Broken or private intra-doc links fail here, including a link left
 # pointing at a deleted item. The vendored stand-ins are exempt, as from
 # the #[ignore] rule: they mirror upstream APIs.
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --exclude proptest --exclude rand --exclude criterion
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --exclude proptest --exclude rand
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -14,7 +14,7 @@
 //! * [`baselines`] — direct / NCHW im2col-GEMM / fused 2-D Winograd
 //!   comparators and test references, called directly;
 //! * [`gemm`] — the packed, register-blocked SGEMM behind every GEMM-class
-//!   path (Goto-style cache blocking, ISA-dispatched 6×16 register tile);
+//!   path (Goto-style cache blocking on `simd`'s 6×16 register tile);
 //! * [`indirect`] — the indirect-convolution backend: per-shape offset
 //!   tables (stride/padding-aware, batch-relocatable) gathered straight
 //!   into the packed SGEMM's A-panels — the engine's one GEMM-class path,
@@ -27,7 +27,8 @@
 //! * [`serve`] — shape-bucketed batch serving: bounded admission, deadline
 //!   expiry, and a coalescer that amortizes plan lookup across requests;
 //! * [`simd`] — runtime-dispatched AVX2/NEON/scalar microkernels for the
-//!   Γ hot path (all paths bit-for-bit identical);
+//!   Γ hot path and the GEMM tile, the one owner of the ISA decision (all
+//!   paths bit-for-bit identical);
 //! * [`parallel`] / [`rational`] — infrastructure.
 //!
 //! # Convolution in five lines
