@@ -227,10 +227,10 @@ pub fn lint_condvars(files: &[ScannedFile]) -> (Vec<Finding>, CondvarSummary) {
                     })
                     .is_some_and(|r| r.starts_with(guard.as_str()) && !r[guard.len()..].starts_with(is_ident));
                 if binds {
-                    // `let guard = cv.wait(guard)…` rebinds the same guard —
-                    // transparent for association; keep searching upward for
-                    // the `.lock()` that created it.
-                    if code.contains(".wait(") && !code.contains(".lock()") {
+                    // `let guard = cv.wait(guard)…` (or `wait_while`) rebinds
+                    // the same guard — transparent for association; keep
+                    // searching upward for the `.lock()` that created it.
+                    if (code.contains(".wait(") || code.contains(".wait_while(")) && !code.contains(".lock()") {
                         continue;
                     }
                     if let Some(p) = code.find(".lock()") {
@@ -474,6 +474,22 @@ mod tests {
         let f = file("crates/serve/src/x.rs", src);
         let (_, s) = lint_condvars(&[f]);
         assert_eq!(s.guarded_mutations, 0);
+    }
+
+    #[test]
+    fn wait_while_rebinding_keeps_the_guard_association() {
+        // The guard re-bound through `wait_while` still belongs to `state`,
+        // so an unpaired mutation of `state` elsewhere is flagged.
+        let src = "fn w(&self) {\n    let g = self.state.lock();\n    let mut g = self.state.wait_while(g, |s| !s.done);\n    g.done = false;\n}\nfn m(&self) {\n    self.state.lock().done = true;\n}\n";
+        let f = file("crates/serve/src/x.rs", src);
+        let (findings, s) = lint_condvars(&[f]);
+        assert_eq!(s.guarded_mutations, 2, "{findings:?}");
+        let flagged: Vec<usize> = findings
+            .iter()
+            .filter(|f| f.message.contains("paired"))
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(flagged, vec![4, 7], "{findings:?}");
     }
 
     #[test]

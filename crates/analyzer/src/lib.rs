@@ -8,7 +8,8 @@
 //!    the planner can select, and snapshots the per-pair coefficient /
 //!    error-amplification bounds.
 //! 2. **Unsafe audit** ([`unsafe_audit`]) — `unsafe` only in the
-//!    `crates/parallel` allowlist, always with an adjacent `// SAFETY:`
+//!    [`unsafe_audit::UNSAFE_ALLOWLIST`] files (`crates/parallel` and
+//!    simd's AVX2/NEON lane files), always with an adjacent `// SAFETY:`
 //!    comment; every other crate root carries `#![forbid(unsafe_code)]`.
 //! 3. **Atomics lint** ([`atomics`]) — every atomic-ordering site in
 //!    production code carries a `// ORDERING:` justification that
@@ -24,7 +25,8 @@
 //!
 //! The static passes prove shape properties; their dynamic complement is
 //! `crates/modelcheck`, which exhaustively explores interleavings of
-//! extracted protocol models under a deterministic scheduler.
+//! serve's own protocol code (`iwino_serve::protocol`) under a
+//! deterministic scheduler.
 //!
 //! Findings print rustc-style to stderr and export as JSON (schema v2,
 //! `"kind": "analysis"`) for `scripts/check.sh`, which fails the gate on

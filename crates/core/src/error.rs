@@ -40,6 +40,12 @@ pub enum ConvError {
         shape: Box<ConvShape>,
         supported: Vec<&'static str>,
     },
+    /// The shape has no output: a zero stride, or a filter larger than the
+    /// padded input on some axis. Boxed like `UnsupportedShape`.
+    InvalidShape {
+        shape: Box<ConvShape>,
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ConvError {
@@ -71,11 +77,32 @@ impl fmt::Display for ConvError {
                     }
                 )
             }
+            ConvError::InvalidShape { shape, reason } => write!(f, "invalid convolution shape {shape:?}: {reason}"),
         }
     }
 }
 
 impl std::error::Error for ConvError {}
+
+/// The shape yields an output — every stride at least 1 and the filter no
+/// larger than the padded input on either axis — or a
+/// [`ConvError::InvalidShape`] saying which rule it breaks. Past this
+/// check `ConvShape::oh`/`ow` cannot panic.
+pub fn check_shape(s: &ConvShape) -> Result<(), ConvError> {
+    let reason = if s.sh == 0 || s.sw == 0 {
+        "stride must be at least 1"
+    } else if s.fh > s.ih + 2 * s.ph {
+        "filter taller than padded input"
+    } else if s.fw > s.iw + 2 * s.pw {
+        "filter wider than padded input"
+    } else {
+        return Ok(());
+    };
+    Err(ConvError::InvalidShape {
+        shape: Box::new(*s),
+        reason,
+    })
+}
 
 /// `got == want` or a [`ConvError::ShapeMismatch`] naming the operand.
 pub fn expect_dims<const D: usize>(what: &'static str, got: [usize; D], want: [usize; D]) -> Result<(), ConvError> {
@@ -100,6 +127,26 @@ mod tests {
         let msg = format!("{e}");
         assert!(msg.contains("input"), "{msg}");
         assert!(msg.contains("[1, 2, 3, 4]"), "{msg}");
+    }
+
+    #[test]
+    fn shapes_without_an_output_are_typed_errors() {
+        let ok = ConvShape::square(1, 4, 2, 2, 3);
+        assert_eq!(check_shape(&ok), Ok(()));
+        let wide = ConvShape { fw: 7, ..ok };
+        let tall = ConvShape { fh: 7, ..ok };
+        let flat = ConvShape { sw: 0, ..ok };
+        for (bad, reason) in [(wide, "wider"), (tall, "taller"), (flat, "stride")] {
+            match check_shape(&bad) {
+                Err(ConvError::InvalidShape { shape, reason: why }) => {
+                    assert_eq!(*shape, bad);
+                    assert!(why.contains(reason), "{why}");
+                }
+                other => panic!("{bad:?} passed the shape check: {other:?}"),
+            }
+        }
+        // Exactly as wide as the padded input: one output column.
+        assert_eq!(check_shape(&ConvShape { fw: 6, ..ok }), Ok(()));
     }
 
     #[test]

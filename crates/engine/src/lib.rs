@@ -36,7 +36,7 @@ pub use backends::{WinogradBackend, BACKEND_NAMES};
 pub use cache::FilterId;
 
 use cache::{PlanCache, PlanKey};
-use iwino_core::error::expect_dims;
+use iwino_core::error::{check_shape, expect_dims};
 use iwino_core::{AlgorithmClass, ConvError, Epilogue};
 use iwino_obs as obs;
 use iwino_tensor::{ConvShape, Tensor4};
@@ -275,10 +275,12 @@ impl Engine {
         deconv: bool,
     ) -> Result<Arc<dyn ConvPlan>, ConvError> {
         let _plan_span = obs::span(obs::Stage::EnginePlan);
-        // Capability gate: the registry's explicit `supports` query answers
-        // for shape capability, so no backend's internal stride/geometry
-        // assertion is ever reachable through engine dispatch — a rejected
-        // shape gets an error naming the backends that *can* run it.
+        // Capability gate: a shape with no output is a typed error, and the
+        // registry's explicit `supports` query answers for shape capability,
+        // so no backend's internal stride/geometry assertion is ever
+        // reachable through engine dispatch — a rejected shape gets an error
+        // naming the backends that *can* run it.
+        check_shape(s)?;
         if !algo.supports(s) {
             return Err(ConvError::UnsupportedShape {
                 algorithm: algo.name(),
@@ -368,6 +370,7 @@ impl Engine {
     /// GEMM, and training invalidates weights every step anyway), with
     /// packing and result buffers drawn from the engine arena.
     pub fn filter_grad(&self, x: &Tensor4<f32>, dy: &Tensor4<f32>, s: &ConvShape) -> Result<Tensor4<f32>, ConvError> {
+        check_shape(s)?;
         expect_dims("input", x.dims(), s.x_dims())?;
         expect_dims("dy", dy.dims(), s.y_dims())?;
         let table = iwino_indirect::IndirectTable::build(s);
@@ -516,6 +519,29 @@ mod tests {
         };
         assert_eq!(algorithm, "im2col-winograd");
         assert_eq!(supported, ["im2col-indirect"]);
+    }
+
+    #[test]
+    fn shape_without_an_output_is_a_typed_error_not_a_panic() {
+        // A filter wider than the padded input (4 + 2·1 < 7), and a zero
+        // stride: neither has an output, and a backend's planner would hit
+        // `ConvShape::ow`'s assert or its division by the stride.
+        let eng = Engine::new();
+        let h = Handle::new(SelectionPolicy::Heuristic);
+        let wide = ConvShape::unit(1, 4, 4, 2, 2, 3, 7, 1, 1);
+        let flat = ConvShape {
+            sh: 0,
+            sw: 0,
+            ..ConvShape::square(1, 9, 3, 4, 3)
+        };
+        for s in [wide, flat] {
+            let (x, w) = tensors(&s);
+            let e = eng.conv(&h, &x, &w, &s, &Epilogue::None).unwrap_err();
+            assert!(matches!(e, ConvError::InvalidShape { .. }), "{s:?}: {e}");
+            let dy = Tensor4::<f32>::zeros([1, 1, 1, 1]);
+            let e = eng.filter_grad(&x, &dy, &s).unwrap_err();
+            assert!(matches!(e, ConvError::InvalidShape { .. }), "{s:?}: {e}");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! `cargo run -p modelcheck --bin mc -- --model MODEL [options]`
 //!
-//! Drives the interleaving explorer over the extracted serving-stack
-//! protocol models. Exit codes: 0 all selected models behaved as
-//! expected, 1 a property was violated (or an `--expect-failure` model
-//! failed to fail), 2 usage error.
+//! Drives the interleaving explorer over `iwino-serve`'s own ticket and
+//! coalescer protocols, run on the scheduler shims. Exit codes: 0 all
+//! selected models behaved as expected, 1 a property was violated (or an
+//! `--expect-failure` model failed to fail), 2 usage error.
 
 #![forbid(unsafe_code)]
 
@@ -71,9 +71,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 fn builder_for(name: &str) -> Box<Builder> {
     match name {
         // Two tickets sharing a resolver exercises the cross-ticket
-        // interleavings; the coalescer sizes mirror a small burst.
-        "ticket" => models::ticket_handoff(2),
-        "coalescer" => models::coalescer_drain(2, 1, 2),
+        // interleavings. Three coalescer clients against batches of two
+        // leave a request queued behind the first batch, so even the
+        // depth-first walk's first schedules race shutdown against it.
+        "ticket" => models::ticket(2),
+        "coalescer" => models::coalescer(3, 1, 2),
         "buggy-notify" => models::buggy_notify(),
         _ => unreachable!("validated in parse_args"),
     }

@@ -54,10 +54,10 @@ struct SchedState {
     threads: Vec<TState>,
     /// The token: the one thread currently allowed to run.
     current: Option<usize>,
-    /// Per-lock holder (`None` = free).
+    /// Per-monitor lock holder (`None` = free).
     locks: Vec<Option<usize>>,
-    /// Per-condvar FIFO of `(thread, lock to reacquire)` waiters.
-    cvs: Vec<Vec<(usize, usize)>>,
+    /// Per-monitor condvar waiters, in arrival order.
+    cvs: Vec<Vec<usize>>,
     aborted: bool,
     /// Set after all threads joined: shim operations become plain,
     /// single-threaded accesses for the model's final assertions.
@@ -104,18 +104,13 @@ impl Ctrl {
         self.cv.wait(g).unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Register a new shim mutex; returns its lock id.
-    pub(crate) fn register_lock(&self) -> usize {
+    /// Register a new shim monitor (a lock and its condvar); returns its
+    /// id.
+    pub(crate) fn register_monitor(&self) -> usize {
         let mut st = self.state();
         st.locks.push(None);
-        st.locks.len() - 1
-    }
-
-    /// Register a new shim condvar; returns its id.
-    pub(crate) fn register_cv(&self) -> usize {
-        let mut st = self.state();
         st.cvs.push(Vec::new());
-        st.cvs.len() - 1
+        st.locks.len() - 1
     }
 
     fn set_thread_count(&self, n: usize) {
@@ -166,21 +161,23 @@ impl Ctrl {
     /// One decision point before the acquisition attempt.
     pub(crate) fn lock_acquire(&self, lock: usize) {
         self.pause();
-        let mut st = self.state();
+        let st = self.state();
         if st.finale {
             return;
         }
         let id = current_tid().expect("modelcheck shim used outside a model thread");
-        loop {
-            if st.locks[lock].is_none() {
-                st.locks[lock] = Some(id);
-                return;
-            }
+        self.acquire_in(id, lock, st);
+    }
+
+    /// Take `lock` for thread `id`, parking while another thread holds it.
+    fn acquire_in(&self, id: usize, lock: usize, mut st: MutexGuard<'_, SchedState>) {
+        while st.locks[lock].is_some() {
             st.threads[id] = TState::WantLock(lock);
             st.current = None;
             self.cv.notify_all();
             st = self.wait_for_token(id, st);
         }
+        st.locks[lock] = Some(id);
     }
 
     fn release_in(st: &mut SchedState, lock: usize) {
@@ -203,9 +200,10 @@ impl Ctrl {
         self.cv.notify_all();
     }
 
-    /// Atomically release `lock` and enqueue on condvar `cvid`; park until
-    /// notified, then reacquire `lock`. One decision point on entry.
-    pub(crate) fn cv_wait(&self, cvid: usize, lock: usize) {
+    /// Atomically release monitor `m`'s lock and enqueue on its condvar;
+    /// park until notified, then reacquire the lock. One decision point on
+    /// entry.
+    pub(crate) fn cv_wait(&self, m: usize) {
         self.pause();
         let mut st = self.state();
         if st.finale {
@@ -215,44 +213,30 @@ impl Ctrl {
         // The release and the enqueue happen under one scheduler guard:
         // there is no window where the lock is free but this thread is
         // not yet waiting — the atomic-release property of a real condvar.
-        Self::release_in(&mut st, lock);
-        st.cvs[cvid].push((id, lock));
-        st.threads[id] = TState::WaitCv(cvid);
+        Self::release_in(&mut st, m);
+        st.cvs[m].push(id);
+        st.threads[id] = TState::WaitCv(m);
         st.current = None;
         self.cv.notify_all();
         st = self.wait_for_token(id, st);
         // Notified: reacquire the mutex, racing other acquirers.
-        loop {
-            if st.locks[lock].is_none() {
-                st.locks[lock] = Some(id);
-                return;
-            }
-            st.threads[id] = TState::WantLock(lock);
-            st.current = None;
-            self.cv.notify_all();
-            st = self.wait_for_token(id, st);
-        }
+        self.acquire_in(id, m, st);
     }
 
-    /// Notify waiters of condvar `cvid` (FIFO). A notify with no waiters
-    /// is lost, exactly like the real primitive. One decision point.
-    pub(crate) fn cv_notify(&self, cvid: usize, all: bool) {
+    /// Notify every waiter on monitor `m`'s condvar. A notify with no
+    /// waiters is lost, exactly like the real primitive. One decision
+    /// point.
+    pub(crate) fn cv_notify(&self, m: usize) {
         self.pause();
         let mut st = self.state();
         if st.finale {
             return;
         }
-        let n = if all {
-            st.cvs[cvid].len()
-        } else {
-            st.cvs[cvid].len().min(1)
-        };
-        for _ in 0..n {
-            let (t, l) = st.cvs[cvid].remove(0);
-            st.threads[t] = if st.locks[l].is_none() {
+        for t in std::mem::take(&mut st.cvs[m]) {
+            st.threads[t] = if st.locks[m].is_none() {
                 TState::Ready
             } else {
-                TState::WantLock(l)
+                TState::WantLock(m)
             };
         }
         self.cv.notify_all();

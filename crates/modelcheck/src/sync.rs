@@ -7,39 +7,72 @@
 //! tables, which is what makes executions deterministic and explorable.
 
 use crate::sched::Ctrl;
+use iwino_serve::protocol::Monitor;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A model mutex. `lock` is a decision point and parks while held.
-pub struct McMutex<T> {
+/// A model mutex paired with one condvar: `iwino-serve`'s [`Monitor`] on
+/// the scheduler, so serve's protocols run here unchanged. `lock` is a
+/// decision point and parks while the mutex is held; a wait atomically
+/// releases the mutex and enqueues; a notify with no enqueued waiter is
+/// lost.
+pub struct McMonitor<T> {
     ctrl: Arc<Ctrl>,
     id: usize,
     value: Mutex<T>,
 }
 
-impl<T> McMutex<T> {
-    pub fn new(ctrl: &Arc<Ctrl>, value: T) -> McMutex<T> {
-        McMutex {
+impl<T> McMonitor<T> {
+    pub fn new(ctrl: &Arc<Ctrl>, value: T) -> McMonitor<T> {
+        McMonitor {
             ctrl: Arc::clone(ctrl),
-            id: ctrl.register_lock(),
+            id: ctrl.register_monitor(),
             value: Mutex::new(value),
         }
     }
 
-    pub fn lock(&self) -> McGuard<'_, T> {
-        self.ctrl.lock_acquire(self.id);
-        McGuard {
-            mutex: self,
-            inner: Some(self.value.lock().unwrap_or_else(|e| e.into_inner())),
-        }
+    fn value(&self) -> MutexGuard<'_, T> {
+        self.value.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// Guard for [`McMutex`]; releases the scheduler-side lock on drop.
+impl<T> Monitor for McMonitor<T> {
+    type Value = T;
+    type Guard<'a>
+        = McGuard<'a, T>
+    where
+        Self: 'a;
+
+    fn lock(&self) -> McGuard<'_, T> {
+        self.ctrl.lock_acquire(self.id);
+        McGuard {
+            monitor: self,
+            inner: Some(self.value()),
+        }
+    }
+
+    fn wait_while<'a>(&'a self, mut guard: McGuard<'a, T>, mut pred: impl FnMut(&mut T) -> bool) -> McGuard<'a, T> {
+        while pred(&mut guard) {
+            // Defuse: drop the value guard without the scheduler-side
+            // release; cv_wait performs release + enqueue atomically under
+            // the scheduler state, then parks and reacquires.
+            drop(guard.inner.take());
+            self.ctrl.cv_wait(self.id);
+            guard.inner = Some(self.value());
+        }
+        guard
+    }
+
+    fn notify_all(&self) {
+        self.ctrl.cv_notify(self.id);
+    }
+}
+
+/// Guard for [`McMonitor`]; releases the scheduler-side lock on drop.
 pub struct McGuard<'a, T> {
-    mutex: &'a McMutex<T>,
-    /// `None` only transiently, while `McCondvar::wait` has taken the
-    /// guard apart (the "defused" state — drop then releases nothing).
+    monitor: &'a McMonitor<T>,
+    /// `None` only transiently, while `wait_while` sleeps (the "defused"
+    /// state — drop then releases nothing).
     inner: Option<MutexGuard<'a, T>>,
 }
 
@@ -59,54 +92,8 @@ impl<T> DerefMut for McGuard<'_, T> {
 impl<T> Drop for McGuard<'_, T> {
     fn drop(&mut self) {
         if self.inner.take().is_some() {
-            self.mutex.ctrl.lock_release(self.mutex.id);
+            self.monitor.ctrl.lock_release(self.monitor.id);
         }
-    }
-}
-
-/// A model condvar: `wait` atomically releases the guard's mutex and
-/// enqueues; a notify with no enqueued waiter is lost.
-pub struct McCondvar {
-    ctrl: Arc<Ctrl>,
-    id: usize,
-}
-
-impl McCondvar {
-    pub fn new(ctrl: &Arc<Ctrl>) -> McCondvar {
-        McCondvar {
-            ctrl: Arc::clone(ctrl),
-            id: ctrl.register_cv(),
-        }
-    }
-
-    pub fn wait<'a, T>(&self, mut guard: McGuard<'a, T>) -> McGuard<'a, T> {
-        let mutex = guard.mutex;
-        // Defuse: drop the value guard without the scheduler-side release;
-        // cv_wait performs release + enqueue atomically under the
-        // scheduler state, then parks and reacquires.
-        drop(guard.inner.take());
-        self.ctrl.cv_wait(self.id, mutex.id);
-        McGuard {
-            mutex,
-            inner: Some(mutex.value.lock().unwrap_or_else(|e| e.into_inner())),
-        }
-    }
-
-    /// Wait while `pred` holds, re-checking after every wakeup — the
-    /// discipline the static condvar pass enforces on the real code.
-    pub fn wait_while<'a, T>(&self, mut guard: McGuard<'a, T>, mut pred: impl FnMut(&mut T) -> bool) -> McGuard<'a, T> {
-        while pred(&mut guard) {
-            guard = self.wait(guard);
-        }
-        guard
-    }
-
-    pub fn notify_one(&self) {
-        self.ctrl.cv_notify(self.id, false);
-    }
-
-    pub fn notify_all(&self) {
-        self.ctrl.cv_notify(self.id, true);
     }
 }
 
@@ -145,14 +132,6 @@ impl McAtomic {
         let mut g = self.cell();
         let old = *g;
         *g = old.wrapping_add(v);
-        old
-    }
-
-    pub fn fetch_max(&self, v: u64) -> u64 {
-        self.ctrl.pause();
-        let mut g = self.cell();
-        let old = *g;
-        *g = old.max(v);
         old
     }
 }

@@ -7,7 +7,7 @@ use modelcheck::sched::Outcome;
 
 #[test]
 fn ticket_handoff_holds_under_exhaustive_exploration() {
-    let build = models::ticket_handoff(1);
+    let build = models::ticket(1);
     let report = run_exhaustive(&build, 30, 2000);
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(
@@ -21,10 +21,13 @@ fn ticket_handoff_holds_under_exhaustive_exploration() {
 
 #[test]
 fn coalescer_drain_holds_under_exhaustive_exploration() {
-    let build = models::coalescer_drain(1, 1, 2);
-    let report = run_exhaustive(&build, 30, 2000);
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-    assert!(report.schedules >= 50, "explored only {}", report.schedules);
+    // One client alone, and two whose submits race the shutdown.
+    for submitters in [1, 2] {
+        let build = models::coalescer(submitters, 1, 2);
+        let report = run_exhaustive(&build, 30, 2000);
+        assert!(report.failure.is_none(), "{:?}", report.failure);
+        assert!(report.schedules >= 50, "explored only {}", report.schedules);
+    }
 }
 
 #[test]
@@ -65,7 +68,7 @@ fn buggy_notify_is_caught_by_random_exploration_too() {
 
 #[test]
 fn random_exploration_is_seed_deterministic() {
-    let build = models::ticket_handoff(1);
+    let build = models::ticket(1);
     let a = run_random(&build, 7, 200, 30);
     let b = run_random(&build, 7, 200, 30);
     assert!(a.failure.is_none());
@@ -85,7 +88,7 @@ fn random_exploration_is_seed_deterministic() {
 fn exhaustive_exploration_exhausts_small_models() {
     // One producer, one consumer, one slot: the depth-bounded tree is
     // fully covered and every schedule distinct.
-    let build = models::ticket_handoff(1);
+    let build = models::ticket(1);
     let report = run_exhaustive(&build, 60, 2_000_000);
     assert!(
         report.exhausted,

@@ -9,11 +9,15 @@
 //! wake-up round trip.
 //!
 //! Safety model: [`ThreadPool::run`] erases the closure's lifetime to hand
-//! it to the workers, and does not return until every worker has finished
-//! the current job (a completion count protected by a mutex + condvar), so
-//! the borrow can never dangle. Closures must be `Sync` and take disjoint
-//! work via the index argument; mutable output access goes through
-//! [`SliceParts`] (a checked disjoint-chunk splitter) or per-index slices.
+//! it to the workers, and neither returns nor unwinds until every worker
+//! has finished the current job (a completion count protected by a mutex +
+//! condvar), so the borrow can never dangle. A panicking task does not
+//! break that: the lane that ran it catches the panic, the job stops
+//! handing out chunks, every lane still reaches the completion count, and
+//! only then does `run` re-raise the first panic on the caller — the pool
+//! stays usable. Closures must be `Sync` and take disjoint work via the
+//! index argument; mutable output access goes through [`SliceParts`] (a
+//! checked disjoint-chunk splitter) or per-index slices.
 //!
 //! Utilization: every job records per-lane chunk counts and busy/idle
 //! nanoseconds (lane 0 is the submitting caller) into the pool's own
@@ -23,9 +27,11 @@
 //! reads per claimed chunk.
 
 use iwino_obs as obs;
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -40,14 +46,17 @@ thread_local! {
 
 /// Type-erased pointer to the scoped task. The referent is a
 /// `&(dyn Fn(usize) + Sync)` that outlives the job (guaranteed by the
-/// completion barrier in [`ThreadPool::run`]).
+/// completion barrier in [`ThreadPool::run`], which runs whether or not a
+/// task panics).
 #[derive(Clone, Copy)]
 struct TaskPtr(*const (dyn Fn(usize) + Sync));
 // SAFETY: the pointee is `dyn Fn(usize) + Sync`, so concurrent `&`-calls
 // from many workers are sound by the pointee's own contract; the pointer is
 // only dereferenced between job publication and the completion wait in
-// `run`, during which the caller keeps the original `&` borrow alive —
-// no use-after-free and no mutation anywhere (shared access only).
+// `run`, during which the caller keeps the original `&` borrow alive. The
+// caller lane's own task calls run under `catch_unwind`, so a panic there
+// still reaches that wait before `run` unwinds — no use-after-free and no
+// mutation anywhere (shared access only).
 unsafe impl Send for TaskPtr {}
 // SAFETY: as for Send above — the referent is Sync and outlives every use.
 unsafe impl Sync for TaskPtr {}
@@ -77,10 +86,12 @@ impl Job {
     /// caller).
     fn work(&self, slot: &LaneJob) {
         // SAFETY: the pointer was created in `run` from a live `&(dyn
-        // Fn(usize) + Sync)` and `run` does not return (releasing that
-        // borrow) until `running == 0`, which this worker contributes to
-        // only after its last `task` call — the referent is alive and
-        // shared-immutable for the whole loop below.
+        // Fn(usize) + Sync)` and `run` neither returns nor unwinds
+        // (releasing that borrow) until `running == 0`, which a worker
+        // contributes to only after this loop has left — normally or by a
+        // panic its lane caught — and which the caller reaches after its
+        // own caught loop; the referent is alive and shared-immutable for
+        // the whole loop below.
         let task = unsafe { &*self.task.0 };
         loop {
             // ORDERING: Relaxed — the claim counter is an atomic RMW, so
@@ -107,6 +118,19 @@ impl Job {
             slot.chunks.fetch_add(1, Ordering::Relaxed);
         }
     }
+
+    /// [`Job::work`] with a panicking task caught: on a panic, no lane
+    /// claims another chunk, and the payload comes back to be re-raised
+    /// on the caller once the job has drained.
+    fn work_caught(&self, slot: &LaneJob) -> Result<(), Box<dyn Any + Send>> {
+        catch_unwind(AssertUnwindSafe(|| self.work(slot))).inspect_err(|_| {
+            // ORDERING: Relaxed — [flag] past `end`, every later claim in
+            // `work` sees an exhausted job; the claim RMW still hands each
+            // index out at most once, and the completion barrier publishes
+            // what ran.
+            self.next.fetch_max(self.end, Ordering::Relaxed);
+        })
+    }
 }
 
 struct Shared {
@@ -124,6 +148,9 @@ struct State {
     job: Option<Arc<Job>>,
     /// Workers still running the current job.
     running: usize,
+    /// The first panic a worker caught in the current job, for `run` to
+    /// re-raise on the caller.
+    panic: Option<Box<dyn Any + Send>>,
     shutdown: bool,
 }
 
@@ -204,7 +231,10 @@ impl ThreadPool {
 
     /// Run `task(i)` for every `i in 0..n`, distributing dynamically-sized
     /// chunks over the pool. Blocks until all indices are done. Reentrant
-    /// calls from inside a worker run serially.
+    /// calls from inside a worker run serially. If a task panics, the job
+    /// stops handing out indices, every lane finishes the chunk it holds,
+    /// and then the first panic (the caller lane's own, if it had one) is
+    /// re-raised here; the pool stays usable.
     pub fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
         if n == 0 {
             return;
@@ -235,16 +265,20 @@ impl ThreadPool {
             }
             return;
         }
-        let _guard = self.submit_lock.lock().unwrap();
+        // A job that re-raised a task panic unwound while holding this
+        // lock; it guards no data, so its poison carries no meaning.
+        let _guard = self.submit_lock.lock().unwrap_or_else(PoisonError::into_inner);
         // ~4 chunks per lane keeps the tail balanced without excessive
         // counter traffic.
         let chunk = (n / (self.threads * 4)).max(1);
         // SAFETY: lifetime erasure only — the pointee type (including its
         // Sync bound) is unchanged, and the transmuted pointer never
-        // outlives the borrow: `run` publishes the job, then blocks on
-        // `job_done` until every worker has dropped out of `Job::work`, and
-        // clears `st.job` before returning, so no worker can touch the
-        // pointer after `task`'s lifetime ends.
+        // outlives the borrow: `run` publishes the job, runs its own lane
+        // under `catch_unwind`, then blocks on `job_done` until every worker
+        // has dropped out of `Job::work` (workers catch task panics too, so
+        // each one decrements `running`), and clears `st.job` before it
+        // returns or re-raises a panic, so no worker can touch the pointer
+        // after `task`'s lifetime ends.
         let task_static: TaskPtr = TaskPtr(unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(task as *const _)
         });
@@ -269,10 +303,10 @@ impl ThreadPool {
         // nested `run` from inside the task runs serially instead of
         // re-locking `submit_lock` on this thread.
         let was_worker = IN_WORKER.with(|f| f.replace(true));
-        job.work(&self.shared.lane_job[0]);
+        let caller = job.work_caught(&self.shared.lane_job[0]);
         IN_WORKER.with(|f| f.set(was_worker));
         // Wait for the workers to drain the job.
-        {
+        let worker_panic = {
             // LOCK ORDER: parallel::submit_lock -> parallel::state (same
             // nesting as the publish block above).
             let mut st = self.shared.state.lock().unwrap();
@@ -280,8 +314,12 @@ impl ThreadPool {
                 st = self.shared.job_done.wait(st).unwrap();
             }
             st.job = None;
-        }
+            st.panic.take()
+        };
         self.absorb_job_stats(job_start.elapsed().as_nanos() as u64);
+        if let Some(payload) = caller.err().or(worker_panic) {
+            resume_unwind(payload);
+        }
     }
 
     /// Run `task` over `0..n` in contiguous ranges — for kernels that
@@ -420,8 +458,11 @@ fn worker_loop(shared: &Shared, lane: usize) {
             }
         };
         if let Some(job) = job {
-            job.work(&shared.lane_job[lane]);
+            let outcome = job.work_caught(&shared.lane_job[lane]);
             let mut st = shared.state.lock().unwrap();
+            if let Err(payload) = outcome {
+                st.panic.get_or_insert(payload);
+            }
             st.running -= 1;
             if st.running == 0 {
                 shared.job_done.notify_all();

@@ -7,7 +7,10 @@
 //! * the pieces handed to the task are contiguous and in-bounds;
 //! * the pool's cumulative [`PoolReport`] accounts for exactly the chunks
 //!   submitted — per-lane chunk counts sum to the number of task
-//!   invocations, and one job is recorded per `run_*` call.
+//!   invocations, and one job is recorded per `run_*` call;
+//! * a panicking task reaches the caller only after every lane has left
+//!   the job, and the pool runs the next job (these tests fail on a
+//!   timeout rather than hang when a lane is lost).
 //!
 //! Each test builds its own pool (never the global one), and a pool counts
 //! its own work with process-wide obs recording off, so the report totals
@@ -17,7 +20,10 @@
 
 use iwino_obs::Json;
 use iwino_parallel::ThreadPool;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
 
 /// The flight-recorder gate and rings are process-global; the pairing test
 /// below must export a quiesced trace, so every test in this binary that
@@ -243,4 +249,89 @@ fn trace_events_pair_up_across_skewed_workers() {
     );
     assert!(iwino_obs::trace_meta().dropped == 0, "this workload fits the ring");
     iwino_obs::reset_trace();
+}
+
+/// Run `body` on a thread of its own and fail, instead of hanging, if it
+/// has not finished after `secs` — a pool that loses a lane to a panic
+/// never completes its job. A panic in `body` is re-raised here.
+fn within(secs: u64, body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    // A panicking body drops `tx` unsent: Disconnected, then join.
+    if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(Duration::from_secs(secs)) {
+        panic!("pool job still running after {secs} s");
+    }
+    if let Err(payload) = runner.join() {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+#[test]
+fn worker_lane_panic_reaches_the_caller_and_the_next_job_runs() {
+    let _g = guard();
+    within(60, || {
+        let worker_started = AtomicU32::new(0);
+        let pool = ThreadPool::new(2);
+        let caller = std::thread::current().id();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(64, &|_| {
+                if std::thread::current().id() != caller {
+                    worker_started.store(1, Ordering::SeqCst);
+                    panic!("worker-lane fault");
+                }
+                // Hold the caller lane until a worker has claimed a chunk,
+                // so the fault lands on a worker.
+                while worker_started.load(Ordering::SeqCst) == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+        }));
+        let payload = run.expect_err("a worker-lane panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker-lane fault"));
+        let total = AtomicU64::new(0);
+        pool.run(100, &|i| {
+            total.fetch_add(i as u64, Ordering::Relaxed);
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 4950, "the pool must stay usable");
+    });
+}
+
+#[test]
+fn caller_lane_panic_waits_for_every_worker_chunk() {
+    let _g = guard();
+    within(60, || {
+        // Declared before the pool so they outlive its workers on every path.
+        let started = AtomicU64::new(0);
+        let finished = AtomicU64::new(0);
+        let pool = ThreadPool::new(3);
+        let caller = std::thread::current().id();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(64, &|_| {
+                if std::thread::current().id() == caller {
+                    while started.load(Ordering::SeqCst) == 0 {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    panic!("caller-lane fault");
+                }
+                started.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(20));
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let payload = run.expect_err("the caller's own panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller-lane fault"));
+        assert_eq!(
+            started.load(Ordering::SeqCst),
+            finished.load(Ordering::SeqCst),
+            "a worker was still inside the task when the caller saw its panic"
+        );
+        let total = AtomicU64::new(0);
+        pool.run(100, &|i| {
+            total.fetch_add(i as u64, Ordering::Relaxed);
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 4950, "the pool must stay usable");
+    });
 }

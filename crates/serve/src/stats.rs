@@ -10,7 +10,9 @@
 //! queue-wait and batch-time histogram sites.
 //!
 //! The accounting identity every snapshot obeys once the server has
-//! drained: `admitted == served + rejected + expired`.
+//! drained: `admitted == served + rejected + expired + failed`. `rejected`
+//! counts admission refusals (a full queue); `failed` counts execution
+//! failures (a plan or run error, or a batch whose executor panicked).
 
 use iwino_obs::hist::{bucket_index, HistogramSummary, N_HIST_BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,6 +26,7 @@ pub(crate) struct BucketStats {
     served: AtomicU64,
     rejected: AtomicU64,
     expired: AtomicU64,
+    failed: AtomicU64,
     batches: AtomicU64,
     /// High-water: largest number of live requests in one coalesced batch.
     max_batch: AtomicU64,
@@ -42,6 +45,7 @@ impl BucketStats {
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             expired: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
             queue_depth_high_water: AtomicU64::new(0),
@@ -70,6 +74,11 @@ impl BucketStats {
     pub(crate) fn expire(&self) {
         // ORDERING: Relaxed — [counter] monotonic expiry count.
         self.expired.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn fail(&self) {
+        // ORDERING: Relaxed — [counter] monotonic execution-failure count.
+        self.failed.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn serve(&self, e2e_ns: u64) {
@@ -103,6 +112,7 @@ impl BucketStats {
             served: self.served.load(Ordering::Relaxed),     // ORDERING: as above
             rejected: self.rejected.load(Ordering::Relaxed), // ORDERING: as above
             expired: self.expired.load(Ordering::Relaxed),   // ORDERING: as above
+            failed: self.failed.load(Ordering::Relaxed),     // ORDERING: as above
             batches: self.batches.load(Ordering::Relaxed),   // ORDERING: as above
             max_batch: self.max_batch.load(Ordering::Relaxed), // ORDERING: as above
             queue_depth_high_water: self.queue_depth_high_water.load(Ordering::Relaxed), // ORDERING: as above
@@ -117,8 +127,11 @@ pub struct BucketSnapshot {
     pub label: String,
     pub admitted: u64,
     pub served: u64,
+    /// Admission refusals: the bucket's queue was full.
     pub rejected: u64,
     pub expired: u64,
+    /// Execution failures: a plan or run error, or a panicked batch.
+    pub failed: u64,
     pub batches: u64,
     pub max_batch: u64,
     pub queue_depth_high_water: u64,
@@ -161,6 +174,10 @@ impl ServerStats {
         self.buckets.iter().map(|b| b.expired).sum()
     }
 
+    pub fn failed(&self) -> u64 {
+        self.buckets.iter().map(|b| b.failed).sum()
+    }
+
     pub fn batches(&self) -> u64 {
         self.buckets.iter().map(|b| b.batches).sum()
     }
@@ -173,11 +190,12 @@ mod tests {
     #[test]
     fn snapshot_reflects_recorded_events() {
         let s = BucketStats::new("b".into());
-        for _ in 0..6 {
+        for _ in 0..7 {
             s.admit();
         }
         s.reject();
         s.expire();
+        s.fail();
         s.batch(4);
         s.batch(2);
         for ns in [100, 200, 5000, 6000] {
@@ -186,8 +204,9 @@ mod tests {
         s.observe_depth(3);
         s.observe_depth(2);
         let snap = s.snapshot();
-        assert_eq!(snap.admitted, snap.served + snap.rejected + snap.expired);
+        assert_eq!(snap.admitted, snap.served + snap.rejected + snap.expired + snap.failed);
         assert_eq!(snap.served, 4);
+        assert_eq!(snap.failed, 1);
         assert_eq!(snap.batches, 2);
         assert_eq!(snap.max_batch, 4);
         assert_eq!(snap.queue_depth_high_water, 3);

@@ -69,7 +69,10 @@ fn queue_full_is_a_typed_rejection() {
     assert_eq!(stats.admitted(), 4);
     assert_eq!(stats.served(), 3);
     assert_eq!(stats.rejected(), 1);
-    assert_eq!(stats.admitted(), stats.served() + stats.rejected() + stats.expired());
+    assert_eq!(
+        stats.admitted(),
+        stats.served() + stats.rejected() + stats.expired() + stats.failed()
+    );
 }
 
 /// Shutdown on a still-paused server drains the whole backlog: every
@@ -105,7 +108,10 @@ fn shutdown_drains_a_paused_backlog_leaving_nothing_unanswered() {
     assert_eq!(stats.admitted(), 8);
     assert_eq!(stats.served(), 6);
     assert_eq!(stats.expired(), 2);
-    assert_eq!(stats.admitted(), stats.served() + stats.rejected() + stats.expired());
+    assert_eq!(
+        stats.admitted(),
+        stats.served() + stats.rejected() + stats.expired() + stats.failed()
+    );
 }
 
 /// After shutdown the server admits nothing: `ShuttingDown`, and the

@@ -3,7 +3,7 @@
 //! threads, a 1-thread batch pool, heavy lane oversubscription, tiny
 //! queues that force rejection, and deadlines that force expiry. Every
 //! test closes on the accounting identity
-//! `admitted == served + rejected + expired`, checked on the server's own
+//! `admitted == served + rejected + expired + failed`, checked on the server's own
 //! stats, and on the queue-wait histogram `iwino_obs` records.
 
 use iwino_obs::{self as obs, HistSite};
@@ -99,7 +99,10 @@ fn skewed_bursts_balance_the_ledger() {
     let mut server = Arc::try_unwrap(srv).ok().expect("submitters joined; sole owner");
     let stats = server.shutdown();
     // Server-side ledger.
-    assert_eq!(stats.admitted(), stats.served() + stats.rejected() + stats.expired());
+    assert_eq!(
+        stats.admitted(),
+        stats.served() + stats.rejected() + stats.expired() + stats.failed()
+    );
     assert_eq!(stats.served(), ok, "every ticket the callers hold resolved Ok");
     assert_eq!(stats.rejected(), rejected, "every QueueFull was counted");
     assert_eq!(stats.expired(), 0);
@@ -173,7 +176,10 @@ fn oversubscribed_pool_with_deadline_expiry_stays_consistent() {
     assert_eq!(stats.expired(), 12);
     assert_eq!(stats.served(), 20);
     assert_eq!(stats.rejected(), 0);
-    assert_eq!(stats.admitted(), stats.served() + stats.rejected() + stats.expired());
+    assert_eq!(
+        stats.admitted(),
+        stats.served() + stats.rejected() + stats.expired() + stats.failed()
+    );
     assert_eq!(stats.buckets[0].queue_depth_high_water, 32);
     assert_eq!(
         stats.buckets[0].e2e.count, 20,

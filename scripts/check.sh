@@ -111,16 +111,18 @@ mkdir -p repro_results
 cargo run --offline --release -p analyzer -- --workspace --json repro_results/analyzer.json
 
 echo "== concurrency model check (modelcheck, pinned depth + seed) =="
-# Deterministic interleaving exploration of the protocol models extracted
-# from the serving stack. Exhaustive-up-to-depth over the ticket handoff
-# and the coalescer drain loop (>=10k distinct schedules total, every
-# assertion holding), one pinned-seed randomized lane, and the seeded
-# missed-wakeup bug model, which MUST fail — a passing buggy-notify run
-# means the checker lost its teeth.
+# Deterministic interleaving exploration of serve's own protocol code
+# (iwino_serve::protocol run on the scheduler shims). Exhaustive-up-to-depth
+# over the ticket handoff and the coalescer drain loop, whose executor panics
+# on its first batch (>=5000 distinct schedules each, every assertion
+# holding), one pinned-seed randomized lane over both (it finds a dropped
+# submit notify, which the depth-first walk does not reach within its
+# budget), and the seeded missed-wakeup bug model, which MUST fail — a
+# passing buggy-notify run means the checker lost its teeth.
 cargo run --offline --release -p modelcheck --bin mc -- \
   --model all --strategy exhaustive --depth 40 --max-schedules 6000 --min-distinct 5000
 cargo run --offline --release -p modelcheck --bin mc -- \
-  --model ticket --strategy random --seed 1 --max-schedules 400 --depth 40 --min-distinct 100
+  --model all --strategy random --seed 1 --max-schedules 400 --depth 40 --min-distinct 100
 cargo run --offline --release -p modelcheck --bin mc -- \
   --model buggy-notify --strategy exhaustive --depth 40 --expect-failure
 
