@@ -29,7 +29,10 @@
 
 use crate::diag::{Finding, Pass};
 use crate::lockorder::{crate_of, in_scope};
-use crate::scan::{documented, fn_spans, ident_after, ident_before, innermost_fn, production_len, ScannedFile};
+use crate::scan::{
+    chained, documented, fn_spans, ident_after, ident_before, innermost_fn, production_len, receiver_before,
+    ScannedFile,
+};
 use crate::unsafe_audit::DOC_WINDOW;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -160,7 +163,7 @@ pub fn lint_condvars(files: &[ScannedFile]) -> (Vec<Finding>, CondvarSummary) {
                 word.clear();
                 for (pat, wait_while) in [(".wait(", false), (".wait_timeout(", false), (".wait_while(", true)] {
                     if code[i..].starts_with(pat) {
-                        if let Some(cv) = ident_before(code, i) {
+                        if let Some(cv) = receiver_before(&file.lines, idx, i) {
                             waits.push(WaitSite {
                                 file: fidx,
                                 line: idx + 1,
@@ -174,7 +177,7 @@ pub fn lint_condvars(files: &[ScannedFile]) -> (Vec<Finding>, CondvarSummary) {
                 }
                 for pat in [".notify_one(", ".notify_all("] {
                     if code[i..].starts_with(pat) {
-                        if let Some(cv) = ident_before(code, i) {
+                        if let Some(cv) = receiver_before(&file.lines, idx, i) {
                             notifies.push(NotifySite {
                                 file: fidx,
                                 line: idx + 1,
@@ -215,7 +218,7 @@ pub fn lint_condvars(files: &[ScannedFile]) -> (Vec<Finding>, CondvarSummary) {
             let span = innermost_fn(&spans, idx);
             let start = span.map(|s| s.open).unwrap_or(0);
             for k in (start..=idx).rev() {
-                let code = &file.lines[k].code;
+                let code = &chained(&file.lines, k);
                 let binds = code
                     .trim_start()
                     .strip_prefix("let ")

@@ -24,7 +24,7 @@
 //!    pair with a notify (or an explicit `// NO-NOTIFY:` justification).
 //!
 //! The static passes prove shape properties; their dynamic complement is
-//! `crates/modelcheck`, which exhaustively explores interleavings of
+//! `crates/modelcheck`, which searches the interleavings of
 //! serve's own protocol code (`iwino_serve::protocol`) under a
 //! deterministic scheduler.
 //!

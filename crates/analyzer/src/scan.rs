@@ -370,6 +370,38 @@ pub fn ident_before(code: &str, pos: usize) -> Option<String> {
     }
 }
 
+/// The receiver of the `.method(` call at byte offset `pos` of line `idx`:
+/// [`ident_before`] on that line or, when rustfmt moved the call to the
+/// start of its own line, the identifier ending the previous code line —
+/// `self.ready` then `.wait_while(…)` yields `ready`.
+pub fn receiver_before(lines: &[SourceLine], idx: usize, pos: usize) -> Option<String> {
+    let code = &lines[idx].code;
+    if !code[..pos].trim().is_empty() {
+        return ident_before(code, pos);
+    }
+    let prev = lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.code.trim_end())
+        .find(|c| !c.is_empty())?;
+    ident_before(prev, prev.len())
+}
+
+/// Line `idx`'s code with the method-chain lines rustfmt split off it
+/// (lines starting with `.` or `?`) appended, so a statement such as
+/// `let g = self` / `.state` / `.lock()` reads as one line.
+pub fn chained(lines: &[SourceLine], idx: usize) -> String {
+    let mut code = lines[idx].code.trim_end().to_string();
+    for line in &lines[idx + 1..] {
+        let next = line.code.trim();
+        if !next.starts_with(['.', '?']) {
+            break;
+        }
+        code.push_str(next);
+    }
+    code
+}
+
 /// The first identifier at or after byte offset `pos` in `code`, skipping
 /// whitespace, `&` and the `mut` keyword — used to read the guard argument
 /// out of `cv.wait(guard)`.

@@ -74,6 +74,19 @@ fn bare_wait_fixture_is_flagged() {
 }
 
 #[test]
+fn split_wait_fixture_is_flagged() {
+    // The wait's receiver sits on the line above `.wait_while(`, and the
+    // guard's binding spans three lines; both still resolve.
+    let f = scan_as("split_wait.rs", "crates/serve/src/lib.rs");
+    let (findings, summary) = condvar::lint_condvars(&[f]);
+    assert_eq!(summary.waits, 1);
+    assert_eq!(summary.guarded_mutations, 2);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].line, 28, "the un-notified mutation");
+    assert!(findings[0].message.contains("paired notify"), "{}", findings[0].message);
+}
+
+#[test]
 fn relaxed_handoff_fixture_is_flagged() {
     let f = scan_as("relaxed_handoff.rs", "crates/serve/src/lib.rs");
     let (findings, sites) = atomics::lint_atomics_classified(&[f]);

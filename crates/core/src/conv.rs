@@ -11,7 +11,7 @@
 //! depth axis, `(1, 1, 0)` for 2-D, so [`crate::nd::conv3d`] runs through
 //! the same pass over `N×OD×OH` rows: the rank lives only in the row plan.
 
-use crate::error::{expect_dims, ConvError};
+use crate::error::{check_shape, expect_dims, ConvError};
 use crate::filter::{filter_hwio, TransformedFilter};
 use crate::kernel::{cached_kernel, GammaKernel, RowJob, Scratch, Variant};
 use crate::plan::{default_kernel_prefs, GammaSpec, KernelChoice, SegmentPlan};
@@ -92,41 +92,42 @@ pub struct ConvOptions {
     pub force_kernels: Option<Vec<GammaSpec>>,
     /// Prefer `α = 16` kernels where both α = 8 and α = 16 apply (r = 7).
     pub prefer_alpha16: bool,
-    /// Upgrade α = 16 kernels to the `c64` cache-block variant (§5.6) when
-    /// the output-channel count is a multiple of 64 ("many channel sizes in
-    /// modern CNNs are multiples of 64").
-    pub allow_c64: bool,
 }
 
 impl ConvOptions {
     /// The §5.5 segment plan these options produce for an `OW`-wide row
     /// with filter width `r`. Public so the engine's workspace accounting
-    /// can see which α a shape resolves to.
+    /// can see which α a shape resolves to. Forced kernels run as given;
+    /// the automatic choice upgrades α = 16 kernels to the `c64`
+    /// cache-block variant (§5.6) when the output-channel count is a
+    /// multiple of 64 ("many channel sizes in modern CNNs are multiples of
+    /// 64").
     pub fn plan_for(&self, ow: usize, r: usize, oc: usize) -> SegmentPlan {
-        let mut prefs = match &self.force_kernels {
+        let prefs = match &self.force_kernels {
             Some(k) => k.clone(),
-            None => default_kernel_prefs(r, self.prefer_alpha16 || r >= 8),
-        };
-        if self.allow_c64 && oc.is_multiple_of(64) {
-            for p in &mut prefs {
-                if p.alpha == 16 && p.variant == Variant::Standard {
-                    p.variant = Variant::C64;
+            None => {
+                let mut prefs = default_kernel_prefs(r, self.prefer_alpha16 || r >= 8);
+                if oc.is_multiple_of(64) {
+                    for p in prefs
+                        .iter_mut()
+                        .filter(|p| p.alpha == 16 && p.variant == Variant::Standard)
+                    {
+                        p.variant = Variant::C64;
+                    }
                 }
+                prefs
             }
-        }
+        };
         SegmentPlan::build(ow, &prefs)
     }
 }
 
 /// Pick reasonable [`ConvOptions`] for a shape: α = 16 kernels where they
-/// apply, and the `c64` cache-block variant when the channel count is a
-/// multiple of 64 (§5.6's "many channel sizes in modern CNNs are multiples
-/// of 64").
+/// apply.
 pub fn auto_options(shape: &ConvShape) -> ConvOptions {
     ConvOptions {
         force_kernels: None,
         prefer_alpha16: shape.fw >= 7,
-        allow_c64: shape.oc.is_multiple_of(64),
     }
 }
 
@@ -213,6 +214,7 @@ impl PreparedConv {
     /// Plan a forward convolution and transform `w` into the Winograd
     /// domain. `shape` must be unit-stride and `w` must be `OC×FH×FW×IC`.
     pub fn forward(w: &Tensor4<f32>, shape: &ConvShape, opts: &ConvOptions) -> Result<PreparedConv, ConvError> {
+        check_shape(shape)?;
         if !shape.is_unit_stride() {
             return Err(ConvError::NonUnitStride {
                 algorithm: "Im2col-Winograd",
@@ -229,6 +231,7 @@ impl PreparedConv {
     /// output is `dx = N×IH×IW×IC`; the 180° rotation and channel swap are
     /// fused into the filter transform (§5.1).
     pub fn deconv(w: &Tensor4<f32>, shape: &ConvShape, opts: &ConvOptions) -> Result<PreparedConv, ConvError> {
+        check_shape(shape)?;
         if !shape.is_unit_stride() {
             return Err(ConvError::NonUnitStride {
                 algorithm: "Im2col-Winograd (deconv)",
@@ -237,6 +240,12 @@ impl PreparedConv {
             });
         }
         expect_dims("filter", w.dims(), shape.w_dims())?;
+        if shape.ph >= shape.fh || shape.pw >= shape.fw {
+            return Err(ConvError::InvalidShape {
+                shape: Box::new(*shape),
+                reason: "padding as large as the filter leaves the deconvolution a negative padding",
+            });
+        }
         // Backward-data of conv(pad p) is conv(dy, rot180(W), pad r−1−p):
         // the deconv is itself a unit-stride convolution with input dy and
         // output dx.
@@ -548,17 +557,12 @@ mod tests {
         let x = Tensor4::<f32>::random(s.x_dims(), 80, 1.0, 2.0);
         let w = Tensor4::<f32>::random(s.w_dims(), 81, 1.0, 2.0);
         let want = direct_conv_f64_ref(&x, &w, &s);
-        let std_opts = ConvOptions {
-            prefer_alpha16: true,
+        let forced = |variant| ConvOptions {
+            force_kernels: Some(vec![GammaSpec::new(16, 8, 9, variant)]),
             ..Default::default()
         };
-        let c64_opts = ConvOptions {
-            prefer_alpha16: true,
-            allow_c64: true,
-            ..Default::default()
-        };
-        let y_std = conv2d(&x, &w, &s, &std_opts).unwrap();
-        let y_c64 = conv2d(&x, &w, &s, &c64_opts).unwrap();
+        let y_std = conv2d(&x, &w, &s, &forced(Variant::Standard)).unwrap();
+        let y_c64 = conv2d(&x, &w, &s, &forced(Variant::C64)).unwrap();
         let stats = iwino_tensor::ErrorStats::between(&y_c64, &want);
         assert!(stats.mean < 1e-4, "{stats:?}");
         assert_eq!(y_std.as_slice(), y_c64.as_slice(), "c64 must be a pure blocking change");
@@ -723,6 +727,42 @@ mod tests {
     }
 
     #[test]
+    fn shapes_without_an_output_are_typed_errors_at_every_front_door() {
+        // A 7-wide filter over a 4-wide input padded by 1 has no output
+        // column; the shape check answers before any plan is built.
+        let s = ConvShape::unit(1, 4, 4, 2, 3, 3, 7, 1, 1);
+        let w = Tensor4::<f32>::random(s.w_dims(), 712, -1.0, 1.0);
+        let opts = ConvOptions::default();
+        let wide = |e: ConvError| matches!(e, ConvError::InvalidShape { reason, .. } if reason.contains("wider"));
+        assert!(wide(conv2d(&Tensor4::zeros(s.x_dims()), &w, &s, &opts).unwrap_err()));
+        assert!(wide(
+            deconv2d(&Tensor4::zeros([1, 4, 1, 3]), &w, &s, &opts).unwrap_err()
+        ));
+        let w1 = Tensor4::<f32>::random([3, 1, 7, 2], 713, -1.0, 1.0);
+        assert!(wide(
+            crate::conv1d(&Tensor4::zeros([1, 1, 4, 2]), &w1, 1, &opts).unwrap_err()
+        ));
+
+        // A deconvolution needs padding below the filter size.
+        let padded = ConvShape::unit(1, 4, 4, 2, 3, 3, 3, 3, 1);
+        let w = Tensor4::<f32>::random(padded.w_dims(), 714, -1.0, 1.0);
+        let e = deconv2d(&Tensor4::zeros(padded.y_dims()), &w, &padded, &opts).unwrap_err();
+        assert!(matches!(e, ConvError::InvalidShape { .. }), "{e}");
+
+        // In 3-D, on the depth axis as on the others.
+        let cube = iwino_tensor::Conv3dShape::cube(1, 4, 2, 3, 3);
+        for bad in [
+            iwino_tensor::Conv3dShape { fd: 7, ..cube },
+            iwino_tensor::Conv3dShape { fw: 7, ..cube },
+        ] {
+            let x = iwino_tensor::Tensor5::zeros(bad.x_dims());
+            let w = iwino_tensor::Tensor5::zeros(bad.w_dims());
+            let e = crate::conv3d(&x, &w, &bad, &opts).unwrap_err();
+            assert!(matches!(e, ConvError::InvalidShape { .. }), "{e}");
+        }
+    }
+
+    #[test]
     fn fused_epilogue_matches_unfused() {
         let s = ConvShape::square(1, 13, 6, 5, 3);
         let x = Tensor4::<f32>::random(s.x_dims(), 500, -1.0, 1.0);
@@ -805,13 +845,36 @@ mod tests {
     #[test]
     fn auto_options_heuristics() {
         let small = ConvShape::square(1, 16, 32, 48, 3);
-        let o = auto_options(&small);
-        assert!(!o.prefer_alpha16);
-        assert!(!o.allow_c64);
+        assert!(!auto_options(&small).prefer_alpha16);
         let wide = ConvShape::square(1, 16, 64, 128, 7);
-        let o = auto_options(&wide);
-        assert!(o.prefer_alpha16);
-        assert!(o.allow_c64);
+        assert!(auto_options(&wide).prefer_alpha16);
+    }
+
+    #[test]
+    fn automatic_alpha16_plans_upgrade_to_c64_at_oc_multiple_of_64() {
+        // Γ16(10,7) over two full tiles: the automatic choice is Standard.
+        let variants = |opts: &ConvOptions, oc| -> Vec<Variant> {
+            opts.plan_for(20, 7, oc)
+                .gamma_specs()
+                .iter()
+                .map(|g| g.variant)
+                .collect()
+        };
+        let auto = ConvOptions {
+            prefer_alpha16: true,
+            ..Default::default()
+        };
+        assert_eq!(variants(&auto, 128), [Variant::C64]);
+        assert_eq!(variants(&auto, 96), [Variant::Standard]);
+        let forced = ConvOptions {
+            force_kernels: Some(vec![GammaSpec::new(16, 10, 7, Variant::Standard)]),
+            ..Default::default()
+        };
+        assert_eq!(
+            variants(&forced, 128),
+            [Variant::Standard],
+            "a forced spec runs as given"
+        );
     }
 
     #[test]

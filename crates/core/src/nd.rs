@@ -16,14 +16,15 @@
 //! states (4096 for α = 16).
 
 use crate::conv::{Depth, PreparedConv};
-use crate::error::{expect_dims, ConvError};
+use crate::error::{check_shape, expect_dims, ConvError};
 use crate::{ConvOptions, Epilogue};
 use iwino_gemm::AllocScratch;
 use iwino_tensor::{Conv3dShape, ConvShape, Tensor4, Tensor5};
 
 /// Unit-stride 3-D convolution: `x` is `N×ID×IH×IW×IC` NDHWC, `w` is
 /// `OC×FD×FH×FW×IC`; returns `N×OD×OH×OW×OC`. Mismatched operand dims
-/// return [`ConvError::ShapeMismatch`].
+/// return [`ConvError::ShapeMismatch`], and a filter larger than the padded
+/// input on any axis [`ConvError::InvalidShape`] (naming the `H×W` slice).
 pub fn conv3d(
     x: &Tensor5<f32>,
     w: &Tensor5<f32>,
@@ -31,11 +32,18 @@ pub fn conv3d(
     opts: &ConvOptions,
 ) -> Result<Tensor5<f32>, ConvError> {
     let s = *shape;
+    let slice = ConvShape::unit(s.n, s.ih, s.iw, s.ic, s.oc, s.fh, s.fw, s.ph, s.pw);
+    check_shape(&slice)?;
+    if s.fd > s.id + 2 * s.pd {
+        return Err(ConvError::InvalidShape {
+            shape: Box::new(slice),
+            reason: "filter deeper than padded input",
+        });
+    }
     expect_dims("input", x.dims(), s.x_dims())?;
     expect_dims("filter", w.dims(), s.w_dims())?;
     // The same bytes as the 2-D filter OC×(FD·FH)×FW×IC.
     let planes = Tensor4::from_vec([s.oc, s.fd * s.fh, s.fw, s.ic], w.as_slice().to_vec());
-    let slice = ConvShape::unit(s.n, s.ih, s.iw, s.ic, s.oc, s.fh, s.fw, s.ph, s.pw);
     let depth = Depth {
         id: s.id,
         fd: s.fd,

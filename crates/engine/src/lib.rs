@@ -549,7 +549,7 @@ mod tests {
         // Without the engine's capability gate in front of it: a strided
         // shape gets core's typed `NonUnitStride`, and a 1×1 filter (outside
         // `supports`' 2..=15 width range) plans as one GEMM segment.
-        let gamma = WinogradBackend::auto();
+        let gamma = WinogradBackend;
         let strided = ConvShape {
             sh: 2,
             sw: 2,

@@ -8,7 +8,7 @@
 //! process-global, and the capture must not interleave with other traced
 //! work.
 
-use iwino_core::{ConvOptions, Epilogue, GammaSpec, Variant};
+use iwino_core::{auto_options, Epilogue, GammaSpec, Variant};
 use iwino_engine::{ConvAlgorithm, Engine, Handle, WinogradBackend};
 use iwino_obs::{self as obs, Json};
 use iwino_tensor::{ConvShape, Tensor4};
@@ -16,19 +16,18 @@ use std::sync::Arc;
 
 #[test]
 fn fig8_gamma8_trace_exports_valid_chrome_trace_json() {
-    // Figure 8, Γ8(6,3) panel row (128, 96, 96, 64) with N scaled to 1 and
-    // the primary kernel forced, so the capture always shows the Γ pipeline.
+    // Figure 8, Γ8(6,3) panel row (128, 96, 96, 64) with N scaled to 1, run
+    // on the registered Γ backend, whose automatic plan for this shape is
+    // Γ8(6,3): the capture always shows the Γ pipeline.
     let shape = ConvShape::from_ofms(1, 96, 96, 64, 64, 3);
+    let plan = auto_options(&shape).plan_for(shape.ow(), shape.fw, shape.oc);
+    assert_eq!(plan.gamma_specs(), [GammaSpec::new(8, 6, 3, Variant::Standard)]);
     let x = Tensor4::<f32>::random(shape.x_dims(), 61, -1.0, 1.0);
     let w = Tensor4::<f32>::random(shape.w_dims(), 62, -1.0, 1.0);
-    let opts = ConvOptions {
-        force_kernels: Some(vec![GammaSpec::new(8, 6, 3, Variant::Standard)]),
-        ..Default::default()
-    };
     // A private engine: the first traced rep deliberately shows the plan
     // build, so it must not find a plan some earlier run already cached.
     let eng = Engine::new();
-    let algo: Arc<dyn ConvAlgorithm> = Arc::new(WinogradBackend::with_options(opts));
+    let algo: Arc<dyn ConvAlgorithm> = Arc::new(WinogradBackend);
     let handle = Handle::default();
     obs::set_enabled(true);
     obs::reset_trace();
@@ -37,7 +36,7 @@ fn fig8_gamma8_trace_exports_valid_chrome_trace_json() {
     for _ in 0..2 {
         drop(
             eng.conv_with(&algo, handle.filter_id(), &x, &w, &shape, &Epilogue::None)
-                .expect("forced Γ8(6,3) runs on the Fig-8 shape"),
+                .expect("Γ8(6,3) runs on the Fig-8 shape"),
         );
     }
     obs::set_trace_enabled(false);

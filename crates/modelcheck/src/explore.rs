@@ -1,46 +1,48 @@
-//! Schedule exploration: exhaustive DFS over choice sequences (up to a
-//! depth bound) and seeded randomized sampling.
+//! Schedule exploration: one systematic search that runs every schedule
+//! with 0 preemptions, then every schedule with 1, and so on until the
+//! budget is spent (iterative context bounding, as in CHESS and loom's
+//! preemption bound).
 //!
 //! An execution is a pure function of its choice sequence (see
-//! [`crate::sched::run_model`]), so exploration is search over sequences:
+//! [`crate::sched::run_model`]). At each decision point the *default*
+//! choice keeps the thread that just ran or, once it has blocked or
+//! finished, runs the lowest runnable thread. Picking another thread is
+//! free when the last one cannot run, and a *preemption* when it could.
 //!
-//! - **Exhaustive**: depth-first with forced-prefix replay. Each run
-//!   records `(chosen, options)` at every decision point; backtracking
-//!   increments the deepest incrementable choice and truncates. Decision
-//!   points past `max_depth` always take choice 0 and record a single
-//!   option, so the tree is exhausted *up to the depth bound*. Every
-//!   schedule visited is distinct by construction.
-//! - **Random**: one xorshift64\* stream per execution, derived from the
-//!   base seed and the execution index — re-running with the same seed
-//!   reproduces the exact schedule set. Distinct schedules are counted
-//!   via the recorded choice vectors.
+//! A schedule is named by its *seed*: its choices up to the last
+//! non-default one, defaults after that. Running a seed reveals every
+//! decision point past it, and each other pick there is a new seed that
+//! costs the same preemptions (a free pick) or one more. Every seed is
+//! found by exactly one run, so no schedule runs twice. Free picks are run
+//! depth-first within the current bound; preempting picks wait for the
+//! next one.
 //!
-//! Exploration stops at the first failing schedule (the choice vector in
-//! [`Failure::schedule`] replays it deterministically) or when the budget
-//! is spent.
+//! Bound `b` is covered once every schedule with at most `b` preemptions
+//! has run. The search stops at the first failing schedule (its choice
+//! vector in [`Failure::schedule`] replays it deterministically) or when
+//! the budget is spent.
 
 use crate::sched::{run_model, Ctrl, ModelInstance, Outcome};
-use std::collections::HashSet;
 use std::sync::Arc;
 
-/// A failing schedule: the chooser picks that reproduce it, plus the
-/// assertion or deadlock message.
+/// A failing schedule: the chooser picks that reproduce it, how many of
+/// them preempt, and the assertion or deadlock message.
 #[derive(Clone, Debug)]
 pub struct Failure {
     pub schedule: Vec<usize>,
+    pub preemptions: usize,
     pub message: String,
 }
 
-/// Exploration summary.
+/// Search summary.
 #[derive(Clone, Debug)]
 pub struct Report {
-    /// Executions run.
+    /// Executions run, each a different schedule.
     pub schedules: u64,
-    /// Distinct choice sequences among them (== `schedules` for
-    /// exhaustive exploration).
-    pub distinct: u64,
-    /// Exhaustive only: the whole depth-bounded tree was covered within
-    /// the schedule budget.
+    /// Largest preemption bound whose schedules all ran (`None`: the
+    /// search stopped inside bound 0).
+    pub bound: Option<usize>,
+    /// Every schedule of the model ran.
     pub exhausted: bool,
     pub failure: Option<Failure>,
 }
@@ -48,129 +50,133 @@ pub struct Report {
 /// A model: builds a fresh [`ModelInstance`] per execution.
 pub type Builder = dyn Fn(&Arc<Ctrl>) -> ModelInstance;
 
-fn failure_of(outcome: Outcome, schedule: Vec<usize>) -> Option<Failure> {
-    match outcome {
-        Outcome::Ok => None,
-        Outcome::Failure(message) | Outcome::Deadlock(message) => Some(Failure { schedule, message }),
-    }
+/// One decision point of a run: runnable threads, the index among them of
+/// the thread that just ran (if it still can), and the pick.
+struct Step {
+    n: usize,
+    last: Option<usize>,
+    pick: usize,
 }
 
-/// Exhaustively explore choice sequences up to `max_depth` decision
-/// points, running at most `max_schedules` executions.
-pub fn run_exhaustive(build: &Builder, max_depth: usize, max_schedules: u64) -> Report {
-    let mut forced: Vec<(usize, usize)> = Vec::new();
-    let mut schedules = 0u64;
-    loop {
-        let mut recorded: Vec<(usize, usize)> = Vec::new();
-        let outcome = run_model(build, &mut |n| {
-            let depth = recorded.len();
-            let k = if depth < forced.len() {
-                forced[depth].0.min(n - 1)
-            } else {
-                0
-            };
-            // Past the depth bound the walk is deterministic: record a
-            // single option so backtracking never branches there.
-            let options = if depth >= max_depth { 1 } else { n };
-            recorded.push((k, options));
-            k
-        });
-        schedules += 1;
-        if let Some(failure) = failure_of(outcome, recorded.iter().map(|(k, _)| *k).collect()) {
-            return Report {
-                schedules,
-                distinct: schedules,
-                exhausted: false,
-                failure: Some(failure),
-            };
-        }
-        if schedules >= max_schedules {
-            return Report {
-                schedules,
-                distinct: schedules,
-                exhausted: false,
-                failure: None,
-            };
-        }
-        // Backtrack: bump the deepest incrementable choice.
-        forced = recorded;
-        loop {
-            match forced.last_mut() {
-                None => {
-                    return Report {
-                        schedules,
-                        distinct: schedules,
-                        exhausted: true,
-                        failure: None,
-                    }
-                }
-                Some(top) if top.0 + 1 < top.1 => {
-                    top.0 += 1;
-                    break;
-                }
-                Some(_) => {
-                    forced.pop();
-                }
-            }
-        }
-    }
+/// A schedule still to run: run `run`'s picks before `pos`, then `pick`.
+struct Seed {
+    run: usize,
+    pos: usize,
+    pick: usize,
 }
 
-fn xorshift64(s: &mut u64) -> u64 {
-    let mut x = *s;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *s = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+/// Run schedules in ascending preemption count, at most `max_schedules`.
+pub fn search(build: &Builder, max_schedules: u64) -> Report {
+    search_with(&mut |choose| run_model(build, choose), max_schedules)
 }
 
-/// Run `schedules` executions with seeded-random choices, counting
-/// distinct choice sequences.
-pub fn run_random(build: &Builder, seed: u64, schedules: u64, max_depth: usize) -> Report {
-    let mut seen: HashSet<Vec<usize>> = HashSet::new();
-    for i in 0..schedules {
-        let mut s = seed ^ (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        if s == 0 {
-            s = 0x9e37_79b9_7f4a_7c15;
-        }
-        let mut recorded: Vec<usize> = Vec::new();
-        let outcome = run_model(build, &mut |n| {
-            // Deterministic tail past the depth bound, as in exhaustive.
-            let k = if recorded.len() >= max_depth {
-                0
-            } else {
-                (xorshift64(&mut s) % n as u64) as usize
-            };
-            recorded.push(k);
-            k
-        });
-        if let Some(failure) = failure_of(outcome, recorded.clone()) {
-            seen.insert(recorded);
-            return Report {
-                schedules: i + 1,
-                distinct: seen.len() as u64,
-                exhausted: false,
-                failure: Some(failure),
-            };
-        }
-        seen.insert(recorded);
-    }
-    Report {
-        schedules,
-        distinct: seen.len() as u64,
+type Execute<'a> = dyn FnMut(&mut dyn FnMut(usize, Option<usize>) -> usize) -> Outcome + 'a;
+
+fn search_with(execute: &mut Execute<'_>, max_schedules: u64) -> Report {
+    let mut report = Report {
+        schedules: 0,
+        bound: None,
         exhausted: false,
         failure: None,
+    };
+    // Every run so far: the length of its seed, then its steps.
+    let mut runs: Vec<(usize, Vec<Step>)> = Vec::new();
+    // Seeds of the current bound (`None` is the all-default schedule),
+    // and of the next.
+    let mut pending: Vec<Option<Seed>> = vec![None];
+    let mut next: Vec<Option<Seed>> = Vec::new();
+    loop {
+        while let Some(seed) = pending.pop() {
+            if report.schedules >= max_schedules {
+                return report;
+            }
+            let prefix: Vec<usize> = match seed {
+                None => Vec::new(),
+                Some(s) => runs[s.run].1[..s.pos].iter().map(|t| t.pick).chain([s.pick]).collect(),
+            };
+            let mut steps: Vec<Step> = Vec::new();
+            let outcome = execute(&mut |n, last| {
+                let pick = prefix.get(steps.len()).copied().unwrap_or(last.unwrap_or(0));
+                steps.push(Step { n, last, pick });
+                pick
+            });
+            report.schedules += 1;
+            if let Outcome::Failure(message) | Outcome::Deadlock(message) = outcome {
+                report.failure = Some(Failure {
+                    schedule: steps.iter().map(|t| t.pick).collect(),
+                    preemptions: steps.iter().filter(|t| t.last.is_some_and(|l| l != t.pick)).count(),
+                    message,
+                });
+                return report;
+            }
+            // Every other pick past the seed: free ones stay in this bound,
+            // preempting ones wait for the next. Pushed in reverse so the
+            // earliest decision point is tried first.
+            let run = runs.len();
+            for (pos, t) in steps.iter().enumerate().skip(prefix.len()).rev() {
+                let others = (0..t.n).rev().filter(|&p| p != t.pick);
+                let seeds = others.map(|pick| Some(Seed { run, pos, pick }));
+                if t.last.is_none() {
+                    pending.extend(seeds)
+                } else {
+                    next.extend(seeds)
+                }
+            }
+            runs.push((prefix.len(), steps));
+        }
+        report.bound = Some(report.bound.map_or(0, |b| b + 1));
+        if next.is_empty() {
+            report.exhausted = true;
+            return report;
+        }
+        pending = std::mem::take(&mut next);
     }
 }
 
 /// Replay one specific schedule (a [`Failure::schedule`] vector); picks
-/// past the vector's end take choice 0.
+/// past the vector's end take the default.
 pub fn replay(build: &Builder, schedule: &[usize]) -> Outcome {
     let mut pos = 0usize;
-    run_model(build, &mut |n| {
-        let k = schedule.get(pos).copied().unwrap_or(0).min(n - 1);
+    run_model(build, &mut |n, last| {
+        let k = schedule.get(pos).copied().unwrap_or(last.unwrap_or(0)).min(n - 1);
         pos += 1;
         k
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::models;
+    use std::collections::HashSet;
+
+    #[test]
+    fn no_schedule_runs_twice_and_the_search_exhausts_ticket_1() {
+        let build = models::ticket(1);
+        let mut seen: HashSet<Vec<usize>> = HashSet::new();
+        let mut preemptions: Vec<usize> = Vec::new();
+        let report = search_with(
+            &mut |choose| {
+                let (mut picks, mut preempt) = (Vec::new(), 0);
+                let outcome = run_model(&build, &mut |n, last| {
+                    let k = choose(n, last);
+                    preempt += usize::from(last.is_some_and(|l| l != k));
+                    picks.push(k);
+                    k
+                });
+                assert!(seen.insert(picks), "a schedule ran twice");
+                preemptions.push(preempt);
+                outcome
+            },
+            u64::MAX,
+        );
+        assert!(report.failure.is_none(), "{:?}", report.failure);
+        assert!(report.exhausted);
+        assert_eq!(report.schedules, seen.len() as u64);
+        assert!(report.schedules >= 10, "explored only {}", report.schedules);
+        // Bounds run in ascending order, and the covered bound is the
+        // largest preemption count any schedule has.
+        assert!(preemptions.windows(2).all(|w| w[0] <= w[1]), "{preemptions:?}");
+        assert_eq!(report.bound, preemptions.last().copied());
+    }
 }

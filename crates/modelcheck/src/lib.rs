@@ -12,10 +12,10 @@
 //! cooperative [scheduler](sched). The scheduler runs the
 //! model threads one at a time and picks which thread proceeds at each
 //! decision point, so an execution is a pure function of its choice
-//! sequence — and the [explorer](explore) can enumerate choice sequences
-//! exhaustively up to a depth bound, or sample them with a seeded RNG,
-//! while asserting the protocol's invariants (exactly-once resolution, no
-//! lost wakeups) in every schedule.
+//! sequence — and the [explorer](explore) runs every schedule with 0
+//! preemptions, then every one with 1, and so on until its budget is
+//! spent, asserting the protocol's invariants (exactly-once resolution,
+//! no lost wakeups) in every schedule.
 //!
 //! What the shims model — and deliberately do not:
 //!
@@ -31,7 +31,11 @@
 //!   pass owns ordering-strength claims.
 //! - A state where no thread is runnable but some are blocked is reported
 //!   as a deadlock; for these models that is precisely the missed-wakeup
-//!   shape ([`models::buggy_notify`] seeds one and must be caught).
+//!   shape ([`models::buggy_notify`] seeds one, and
+//!   [`models::dropped_notify`] runs the shipped coalescer with its queue
+//!   notifies dropped; both must be caught).
+//! - Thread spawn and join are not modelled: every model thread exists
+//!   from the start, and the finale runs after all of them finish.
 //!
 //! Everything is safe Rust: the shims wrap `std::sync` primitives for
 //! storage and rely on the scheduler (not `unsafe`) for exclusivity. A

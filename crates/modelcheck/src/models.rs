@@ -11,12 +11,11 @@
 
 use crate::explore::Builder;
 use crate::sched::{Ctrl, ModelInstance};
-use crate::sync::{McAtomic, McMonitor};
+use crate::sync::{McAtomic, McGuard, McMonitor};
 use iwino_serve::protocol::{Monitor, OneShot, QueueState, Queues, Slot};
 use std::sync::Arc;
 
 type McTicket = OneShot<McMonitor<Slot<u64>>>;
-type McQueues<T> = Queues<McMonitor<QueueState<T>>>;
 type Thread = Box<dyn FnOnce() + Send>;
 
 /// The ticket handoff: a resolver answers `pairs` tickets through
@@ -74,11 +73,58 @@ pub fn ticket(pairs: usize) -> Box<Builder> {
 /// batch reaches the failure path; the queue is empty when the coalescer
 /// exits; and no schedule deadlocks.
 pub fn coalescer(submitters: usize, items_each: usize, max_batch: usize) -> Box<Builder> {
+    coalescer_on(McMonitor::new, submitters, items_each, max_batch)
+}
+
+/// Mutant of the shipped protocol: [`coalescer`] with a queue monitor
+/// whose `notify_all` wakes nobody, as if `Queues::submit`, `resume` and
+/// `shutdown` had lost their notify. The coalescer sleeps through the
+/// submits that follow its wait; the checker must find that deadlock.
+pub fn dropped_notify(submitters: usize, items_each: usize, max_batch: usize) -> Box<Builder> {
+    coalescer_on(
+        |ctrl, s| DroppedNotify(McMonitor::new(ctrl, s)),
+        submitters,
+        items_each,
+        max_batch,
+    )
+}
+
+/// [`McMonitor`] with a `notify_all` that does nothing.
+struct DroppedNotify<T>(McMonitor<T>);
+
+impl<T> Monitor for DroppedNotify<T> {
+    type Value = T;
+    type Guard<'a>
+        = McGuard<'a, T>
+    where
+        Self: 'a;
+
+    fn lock(&self) -> McGuard<'_, T> {
+        self.0.lock()
+    }
+
+    fn wait_while<'a>(&'a self, guard: McGuard<'a, T>, pred: impl FnMut(&mut T) -> bool) -> McGuard<'a, T> {
+        self.0.wait_while(guard, pred)
+    }
+
+    fn notify_all(&self) {}
+}
+
+/// [`coalescer`] over the queue monitor that `monitor` builds.
+fn coalescer_on<M>(
+    monitor: fn(&Arc<Ctrl>, QueueState<usize>) -> M,
+    submitters: usize,
+    items_each: usize,
+    max_batch: usize,
+) -> Box<Builder>
+where
+    M: Monitor<Value = QueueState<usize>> + Send + Sync + 'static,
+{
     const ANSWER: u64 = 1;
     const FAILED: u64 = 2;
     Box::new(move |ctrl: &Arc<Ctrl>| {
         // The queue carries ticket indices.
-        let queues: Arc<McQueues<usize>> = Arc::new(Queues::new(|s| McMonitor::new(ctrl, s), 1, false, max_batch));
+        let queues = Arc::new(Queues::new(|s| monitor(ctrl, s), 1, false, max_batch));
         let n = submitters * items_each;
         let tickets: Arc<Vec<McTicket>> = Arc::new((0..n).map(|_| OneShot::new(|s| McMonitor::new(ctrl, s))).collect());
         let [fail_calls, rejected] = [(); 2].map(|_| Arc::new(McAtomic::new(ctrl, 0)));

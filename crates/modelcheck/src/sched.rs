@@ -290,10 +290,15 @@ fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run one execution of the model under `choose`: at each decision point
-/// with `n` runnable threads, `choose(n)` picks the index (into the
-/// ascending-by-id runnable list) of the thread to grant the token.
-/// Deterministic: the outcome is a pure function of the choice sequence.
-pub fn run_model(build: &dyn Fn(&Arc<Ctrl>) -> ModelInstance, choose: &mut dyn FnMut(usize) -> usize) -> Outcome {
+/// with `n` runnable threads, `choose(n, last)` picks the index (into the
+/// ascending-by-id runnable list) of the thread to grant the token, where
+/// `last` is the index of the thread that just ran if it is still
+/// runnable. Deterministic: the outcome is a pure function of the choice
+/// sequence.
+pub fn run_model(
+    build: &dyn Fn(&Arc<Ctrl>) -> ModelInstance,
+    choose: &mut dyn FnMut(usize, Option<usize>) -> usize,
+) -> Outcome {
     let ctrl = Arc::new(Ctrl::new());
     let inst = build(&ctrl);
     ctrl.set_thread_count(inst.threads.len());
@@ -320,6 +325,7 @@ pub fn run_model(build: &dyn Fn(&Arc<Ctrl>) -> ModelInstance, choose: &mut dyn F
         }
 
         let mut st = ctrl.state();
+        let mut last: Option<usize> = None;
         loop {
             while st.current.is_some() || st.threads.contains(&TState::Starting) {
                 st = ctrl.wait_state(st);
@@ -364,8 +370,10 @@ pub fn run_model(build: &dyn Fn(&Arc<Ctrl>) -> ModelInstance, choose: &mut dyn F
                 }
                 break Outcome::Deadlock(format!("deadlock (missed wakeup): {}", blocked.join("; ")));
             }
-            let k = choose(runnable.len()).min(runnable.len() - 1);
-            st.current = Some(runnable[k]);
+            let ran = last.and_then(|t| runnable.iter().position(|&r| r == t));
+            let k = choose(runnable.len(), ran).min(runnable.len() - 1);
+            last = Some(runnable[k]);
+            st.current = last;
             ctrl.cv.notify_all();
         }
     });

@@ -110,21 +110,19 @@ echo "== static analysis (iwino-analyze) =="
 mkdir -p repro_results
 cargo run --offline --release -p analyzer -- --workspace --json repro_results/analyzer.json
 
-echo "== concurrency model check (modelcheck, pinned depth + seed) =="
-# Deterministic interleaving exploration of serve's own protocol code
-# (iwino_serve::protocol run on the scheduler shims). Exhaustive-up-to-depth
-# over the ticket handoff and the coalescer drain loop, whose executor panics
-# on its first batch (>=5000 distinct schedules each, every assertion
-# holding), one pinned-seed randomized lane over both (it finds a dropped
-# submit notify, which the depth-first walk does not reach within its
-# budget), and the seeded missed-wakeup bug model, which MUST fail — a
-# passing buggy-notify run means the checker lost its teeth.
-cargo run --offline --release -p modelcheck --bin mc -- \
-  --model all --strategy exhaustive --depth 40 --max-schedules 6000 --min-distinct 5000
-cargo run --offline --release -p modelcheck --bin mc -- \
-  --model all --strategy random --seed 1 --max-schedules 400 --depth 40 --min-distinct 100
-cargo run --offline --release -p modelcheck --bin mc -- \
-  --model buggy-notify --strategy exhaustive --depth 40 --expect-failure
+echo "== concurrency model check (modelcheck, preemption-bounded search) =="
+# Deterministic interleaving search over serve's own protocol code
+# (iwino_serve::protocol run on the scheduler shims): every schedule with 0
+# preemptions, then every one with 1, and so on, 6000 schedules per model.
+# The ticket handoff and the coalescer drain loop (whose executor panics on
+# its first batch) must hold in every schedule run; mc prints the largest
+# preemption bound each covered. Two seeded bugs MUST fail — a passing run
+# means the checker lost its teeth: buggy-notify (a flag set and notified
+# outside the lock) and dropped-notify (the shipped coalescer over a queue
+# monitor whose notifies wake nobody).
+cargo run --offline --release -p modelcheck --bin mc -- --model all --max-schedules 6000
+cargo run --offline --release -p modelcheck --bin mc -- --model buggy-notify --max-schedules 6000 --expect-failure
+cargo run --offline --release -p modelcheck --bin mc -- --model dropped-notify --max-schedules 6000 --expect-failure
 
 echo "== cargo fmt --check =="
 cargo fmt --check
