@@ -351,8 +351,8 @@ pub fn production_len(lines: &[SourceLine]) -> usize {
 
 /// The identifier immediately preceding byte offset `pos` in `code`, with
 /// one trailing `()` call stripped — so for `shared.state.lock()` at the
-/// offset of `.lock()` this yields `state`, and for `trace_registry().lock()`
-/// it yields `trace_registry`.
+/// offset of `.lock()` this yields `state`, and for `registry().lock()` it
+/// yields `registry`.
 pub fn ident_before(code: &str, pos: usize) -> Option<String> {
     let bytes = code.as_bytes();
     let mut end = pos;

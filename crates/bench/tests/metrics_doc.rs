@@ -1,10 +1,11 @@
 //! The `repro --metrics` document end to end: the binary runs `table2` (pure
-//! simulation, no kernel executes) and the schema-v8 document must still
+//! simulation, no kernel executes) and the schema-v9 document must still
 //! carry the `pool`, `dispatch` and `engine` sections read from their
-//! owners, with no `serve` key. That a path which cannot be written fails
-//! the command is a step of `scripts/check.sh`.
+//! owners, with no `serve` or `trace_meta` key and no stage or histogram
+//! site left over from the deleted flight recorder. That a path which
+//! cannot be written fails the command is a step of `scripts/check.sh`.
 
-use iwino_obs::{Json, SCHEMA_VERSION};
+use iwino_obs::{HistSite, Json, Stage, SCHEMA_VERSION};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -30,9 +31,19 @@ fn table2_metrics_document_reads_every_section_from_its_owner() {
     std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(SCHEMA_VERSION));
-    assert_eq!(SCHEMA_VERSION, 8);
+    assert_eq!(SCHEMA_VERSION, 9);
     assert_eq!(doc.get("kind").and_then(Json::as_str), Some("metrics"));
     assert!(doc.get("serve").is_none(), "no repro command runs a server");
+    assert!(doc.get("trace_meta").is_none(), "obs keeps no flight recorder");
+    // table2 records no stage, so the stage and histogram keys a document
+    // can carry are checked where they are declared.
+    for gone in ["gamma_segment", "worker_chunk"] {
+        assert!(Stage::ALL.iter().all(|s| s.name() != gone), "stage {gone}");
+        assert!(
+            HistSite::all().iter().all(|s| s.name() != gone),
+            "histogram site {gone}"
+        );
+    }
 
     // Dispatch comes from iwino_simd, whether or not a kernel ran.
     let dispatch = doc.get("dispatch").expect("dispatch section");

@@ -209,11 +209,6 @@ impl GammaKernel {
         debug_assert_eq!(tw.oc, job.oc);
         debug_assert_eq!(out_row.len(), job.ow * job.oc);
         debug_assert!(seg_start + tiles * self.n <= job.ow);
-        // Flight-recorder span for the whole segment: one B/E pair per
-        // `run_segment` call is cheap enough to leave unconditional (a
-        // single relaxed load when tracing is off) and is the event the
-        // worker-timeline view hangs the Γ work off.
-        let _seg = obs::trace_span(obs::Stage::GammaSegment);
         let alpha = self.alpha;
         let n = self.n;
         let (bn, bm) = (self.bn, self.bm);

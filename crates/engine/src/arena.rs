@@ -70,7 +70,7 @@ impl WorkspacePool {
 
 impl ScratchProvider for WorkspacePool {
     fn checkout(&self, len: usize) -> Vec<f32> {
-        // Span + latency histogram + trace event for the checkout itself:
+        // Span + latency histogram for the checkout itself:
         // a miss is an allocation and a zero-fill, which is precisely the
         // serving-latency tail the arena exists to amortize away.
         let _span = obs::span(obs::Stage::ArenaCheckout);

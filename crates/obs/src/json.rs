@@ -4,7 +4,7 @@
 //! other crate in the workspace, and the build environment is offline), so
 //! metrics reports are serialized through this hand-rolled value type
 //! instead of serde. [`Json::parse`] is the matching reader: the
-//! trace validator and the tests re-read exported timelines and metrics
+//! repository benchmark and the tests re-read exported traces and metrics
 //! documents, so round-tripping through this type must be lossless for
 //! everything the workspace emits.
 

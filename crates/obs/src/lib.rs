@@ -13,9 +13,6 @@
 //! * [`record_latency`] — log2-bucketed latency histograms per stage and
 //!   per engine plan-cache outcome, with p50/p90/p99 at snapshot time
 //!   (see [`hist`]);
-//! * [`trace_span`] / [`export_chrome_trace`] — a flight recorder of
-//!   begin/end events in bounded per-thread rings, exported as a
-//!   Perfetto-loadable Chrome Trace timeline (see [`trace`]);
 //! * [`PoolReport`] — the shape of a thread pool's per-lane utilization
 //!   report; `iwino-parallel`'s `ThreadPool::report` builds it;
 //! * [`MetricsReport`] — a JSON-serializable snapshot of all of the above,
@@ -27,12 +24,15 @@
 //! `Server::stats`), so two engines or two servers in one process never
 //! sum into each other's numbers.
 //!
+//! Obs keeps no event timeline. A request-keyed Chrome trace is the
+//! repository benchmark's (`benchmark trace`), whose spans carry the
+//! request, pass or step they belong to.
+//!
 //! Timers, counters and histograms are gated on a process-wide [`enabled`]
-//! flag; the flight recorder has its own [`trace_enabled`] gate. Each gate
-//! is one relaxed atomic load, and with both off — the default —
-//! instrumented code pays only those loads plus predictable branches; the
-//! overhead guard in `tests/overhead.rs` pins this to within 5% of
-//! uninstrumented code.
+//! flag. The gate is one relaxed atomic load, and with it off — the
+//! default — instrumented code pays only that load plus predictable
+//! branches; the overhead guard in `tests/overhead.rs` pins this to within
+//! 5% of uninstrumented code.
 
 #![forbid(unsafe_code)]
 
@@ -43,25 +43,18 @@ use std::time::Instant;
 pub mod hist;
 mod json;
 mod report;
-pub mod trace;
 
 pub use hist::{bucket_index, bucket_le_ns, HistSite, HistogramSummary, N_HIST_BUCKETS, N_HIST_SITES};
 pub use json::{Json, JsonParseError};
 pub use report::{MetricsReport, SCHEMA_VERSION};
-pub use trace::{
-    export_chrome_trace, reset_trace, set_trace_enabled, set_trace_ring_capacity, set_trace_thread_label, trace_begin,
-    trace_enabled, trace_end, trace_meta, trace_ring_capacity, trace_span, validate_chrome_trace, TraceMeta, TraceSpan,
-    TraceSummary, DEFAULT_TRACE_RING_CAPACITY,
-};
 
 /// Pipeline stages attributed by [`span`]. `Total` covers a whole
 /// convolution call; the others nest inside it. `EnginePlan`/`EngineRun`
 /// are umbrella stages around engine dispatch — like `Total`, kernel
 /// stages nest inside them, so they are excluded from [`Snapshot::attributed_ns`].
-/// `ArenaCheckout`, `GammaSegment` and `WorkerChunk` are bookkeeping /
-/// timeline-granularity stages (arena scratch checkout, one Γ row segment,
-/// one claimed pool chunk); they exist mainly for the flight recorder and
-/// latency histograms and are likewise excluded from attribution.
+/// `ArenaCheckout` is a bookkeeping stage (arena scratch checkout) that
+/// overlaps the kernel stages; it feeds the latency histograms and is
+/// likewise excluded from attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     FilterTransform,
@@ -74,8 +67,6 @@ pub enum Stage {
     EnginePlan,
     EngineRun,
     ArenaCheckout,
-    GammaSegment,
-    WorkerChunk,
     GemmPack,
     GemmKernel,
     IndirectSetup,
@@ -83,10 +74,9 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in declaration (= discriminant) order; the flight
-    /// recorder packs `Stage as u64` into event words and decodes through
-    /// this array, so the two must stay aligned.
-    pub const ALL: [Stage; 16] = [
+    /// Every stage, in declaration (= discriminant) order; the histogram
+    /// sites index through this array, so the two must stay aligned.
+    pub const ALL: [Stage; 14] = [
         Stage::FilterTransform,
         Stage::InputTransform,
         Stage::OuterProduct,
@@ -97,8 +87,6 @@ impl Stage {
         Stage::EnginePlan,
         Stage::EngineRun,
         Stage::ArenaCheckout,
-        Stage::GammaSegment,
-        Stage::WorkerChunk,
         Stage::GemmPack,
         Stage::GemmKernel,
         Stage::IndirectSetup,
@@ -117,8 +105,6 @@ impl Stage {
             Stage::EnginePlan => "engine_plan",
             Stage::EngineRun => "engine_run",
             Stage::ArenaCheckout => "arena_checkout",
-            Stage::GammaSegment => "gamma_segment",
-            Stage::WorkerChunk => "worker_chunk",
             Stage::GemmPack => "gemm_pack",
             Stage::GemmKernel => "gemm_kernel",
             Stage::IndirectSetup => "indirect_setup",
@@ -128,10 +114,10 @@ impl Stage {
 
     /// Stages excluded from [`Snapshot::attributed_ns`]: umbrella stages
     /// (`Total`, `EnginePlan`, `EngineRun`) wrap other recorded spans, and
-    /// the bookkeeping stages (`ArenaCheckout`, `GammaSegment`,
-    /// `WorkerChunk`, `GemmPack`, `GemmKernel`) overlap them — the GEMM
-    /// sub-stages nest inside `Baseline` / `GemmRemainder` spans — so
-    /// counting either kind in a sum would double-attribute time.
+    /// the bookkeeping stages (`ArenaCheckout`, `GemmPack`, `GemmKernel`)
+    /// overlap them — the GEMM sub-stages nest inside `Baseline` /
+    /// `GemmRemainder` spans — so counting either kind in a sum would
+    /// double-attribute time.
     pub fn is_umbrella(self) -> bool {
         matches!(
             self,
@@ -139,8 +125,6 @@ impl Stage {
                 | Stage::EnginePlan
                 | Stage::EngineRun
                 | Stage::ArenaCheckout
-                | Stage::GammaSegment
-                | Stage::WorkerChunk
                 | Stage::GemmPack
                 | Stage::GemmKernel
         )
@@ -214,7 +198,7 @@ struct Slot {
     stage_hits: [AtomicU64; N_STAGES],
     counters: [AtomicU64; N_COUNTERS],
     /// Latency histogram cells, `site-major` ([`HistSite::index`] ×
-    /// [`N_HIST_BUCKETS`]). Boxed: the table is ~600 atomics and only the
+    /// [`N_HIST_BUCKETS`]). Boxed: the table is ~700 atomics and only the
     /// handful touched per run need to be hot.
     hist: Box<[AtomicU64]>,
 }
@@ -297,45 +281,25 @@ pub fn reset() {
 
 /// Scoped timer: accumulates elapsed nanoseconds (total, hit count and a
 /// latency-histogram sample) into `stage` for the current thread when it
-/// drops, and — while [`trace_enabled`] — emits a begin/end event pair
-/// into the flight recorder. Construction is a no-op (no clock read) while
-/// both gates are off.
+/// drops. Construction is a no-op (no clock read) while [`enabled`] is off.
 #[must_use = "a span records on drop; binding it to `_` drops immediately"]
 pub struct Span {
     stage: Stage,
     /// `Some` iff [`enabled`] was set at construction.
     start: Option<Instant>,
-    /// Whether the begin event was admitted to this thread's trace ring;
-    /// exactly then must the end event be emitted (pairing invariant).
-    traced: bool,
 }
 
 #[inline(always)]
 pub fn span(stage: Stage) -> Span {
-    let recording = enabled();
-    if !recording && !trace::trace_enabled() {
-        return Span {
-            stage,
-            start: None,
-            traced: false,
-        };
-    }
-    // The begin event is admitted (or refused, if the ring is full) before
-    // the clock read so the trace timestamp brackets the timed region.
-    let traced = trace::trace_begin(stage);
     Span {
         stage,
-        start: recording.then(Instant::now),
-        traced,
+        start: enabled().then(Instant::now),
     }
 }
 
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        if self.traced {
-            trace::trace_end(self.stage);
-        }
         if let Some(start) = self.start {
             let ns = start.elapsed().as_nanos() as u64;
             SLOT.with(|slot| {
@@ -470,9 +434,6 @@ pub struct Snapshot {
     /// Flat histogram cells (site-major, [`N_HIST_BUCKETS`] per site);
     /// empty in a `Default` snapshot, which reads as all-zero buckets.
     hist: Vec<u64>,
-    /// Flight-recorder state at snapshot time, so a metrics document says
-    /// whether (and how completely) a trace accompanies it.
-    pub trace: TraceMeta,
 }
 
 impl Snapshot {
@@ -521,7 +482,6 @@ impl Snapshot {
 /// Aggregate every registered thread slot into a [`Snapshot`].
 pub fn snapshot() -> Snapshot {
     let mut snap = Snapshot {
-        trace: trace::trace_meta(),
         hist: vec![0; N_HIST_CELLS],
         ..Snapshot::default()
     };
@@ -558,13 +518,9 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
 
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        test_guard()
-    }
-
     #[test]
     fn disabled_records_nothing() {
-        let _g = guard();
+        let _g = test_guard();
         set_enabled(false);
         reset();
         {
@@ -579,7 +535,7 @@ mod tests {
 
     #[test]
     fn spans_and_counters_accumulate_across_threads() {
-        let _g = guard();
+        let _g = test_guard();
         set_enabled(true);
         reset();
         {
@@ -602,7 +558,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_counters() {
-        let _g = guard();
+        let _g = test_guard();
         set_enabled(true);
         reset();
         add(Counter::BytesLoaded, 64);
@@ -615,7 +571,7 @@ mod tests {
 
     #[test]
     fn stage_share_sums_to_one_over_recorded_stages() {
-        let _g = guard();
+        let _g = test_guard();
         set_enabled(true);
         reset();
         add_stage_ns(Stage::InputTransform, 300);
@@ -636,7 +592,7 @@ mod tests {
 
     #[test]
     fn umbrella_stages_excluded_from_attribution() {
-        let _g = guard();
+        let _g = test_guard();
         set_enabled(true);
         reset();
         add_stage_ns(Stage::OuterProduct, 700);
@@ -651,7 +607,7 @@ mod tests {
 
     #[test]
     fn latency_histograms_aggregate_across_threads() {
-        let _g = guard();
+        let _g = test_guard();
         set_enabled(true);
         reset();
         // A span, a direct stage add and an explicit plan-cache sample all
@@ -684,7 +640,7 @@ mod tests {
 
     #[test]
     fn disabled_records_no_histograms() {
-        let _g = guard();
+        let _g = test_guard();
         set_enabled(false);
         reset();
         record_latency(HistSite::EnginePlanHit, 123);

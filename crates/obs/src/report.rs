@@ -1,6 +1,6 @@
 //! Structured metrics export: one JSON document per measured run.
 //!
-//! Schema (version 8). Version 2 added the `"kind"` discriminator so
+//! Schema (version 9). Version 2 added the `"kind"` discriminator so
 //! consumers can tell a metrics document from the static-analysis report
 //! the `analyzer` crate emits with the same `schema_version` ("metrics"
 //! here, "analysis" there); version 3 added the `"dispatch"` section
@@ -22,11 +22,14 @@
 //! the caller pulls from its owner at capture time. `repro` supplies
 //! `"pool"` (`ThreadPool::report`), `"dispatch"` (`iwino_simd::dispatch_info`,
 //! present even when no kernel ran) and `"engine"` (`Engine::stats`: plan
-//! hits, misses, evictions, plans cached, resident bytes and the arena):
+//! hits, misses, evictions, plans cached, resident bytes and the arena).
+//! Version 9 deletes the `"trace_meta"` section with the flight recorder it
+//! described, and the `gamma_segment` / `worker_chunk` stages only that
+//! recorder emitted:
 //!
 //! ```text
 //! {
-//!   "schema_version": 8,
+//!   "schema_version": 9,
 //!   "kind": "metrics",
 //!   "label": "<workload name>",
 //!   "wall_ns": <u64>,                    // end-to-end wall time
@@ -36,8 +39,6 @@
 //!                              "buckets": [{"le_ns", "count"}, ...]}, ... },
 //!   "derived": { "gflops", "arithmetic_intensity", "bytes_total", ... },
 //!   "<section>": { ... }, ...            // caller-supplied, in order
-//!   "trace_meta": { "enabled", "ring_capacity", "threads", "events",
-//!                   "trace_events_dropped" }
 //! }
 //! ```
 //!
@@ -52,7 +53,7 @@ use std::path::Path;
 
 /// Version of the JSON layout emitted by [`MetricsReport::to_json`] (and
 /// shared by the analyzer's `"kind": "analysis"` documents).
-pub const SCHEMA_VERSION: u64 = 8;
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// A captured, self-describing metrics document.
 #[derive(Clone, Debug)]
@@ -61,7 +62,7 @@ pub struct MetricsReport {
     pub wall_ns: u64,
     pub snapshot: Snapshot,
     /// Named sections pulled from the objects that own them, emitted in
-    /// order between `"derived"` and `"trace_meta"`.
+    /// order after `"derived"`.
     pub sections: Vec<(String, Json)>,
 }
 
@@ -191,7 +192,6 @@ impl MetricsReport {
             ("derived".to_string(), derived),
         ];
         doc.extend(self.sections.iter().cloned());
-        doc.push(("trace_meta".to_string(), snap.trace.to_json()));
         Json::Obj(doc)
     }
 
@@ -213,9 +213,6 @@ mod tests {
             let _g = crate::test_guard();
             set_enabled(true);
             reset();
-            // The trace rings are process-global too; zero their drop
-            // counters so the trace_meta assertions below are order-proof.
-            crate::reset_trace();
             add(Counter::Flops, 2_000_000);
             add(Counter::BytesLoaded, 800_000);
             add(Counter::BytesStored, 200_000);
@@ -240,17 +237,16 @@ mod tests {
         assert!((report.stage_gflops(Stage::OuterProduct) - 2_000_000.0 / 750.0).abs() < 1e-9);
         assert_eq!(report.stage_gflops(Stage::Epilogue), 0.0);
         let json = report.to_json().pretty();
-        assert!(json.contains("\"schema_version\": 8"));
+        assert!(json.contains("\"schema_version\": 9"));
         assert!(json.contains("\"kind\": \"metrics\""));
         assert!(json.contains("\"label\": \"unit\""));
         assert!(json.contains("\"outer_product\""));
         assert!(json.contains("\"ruse_tile_fraction\": 0.4"));
-        // A caller-supplied section lands between `derived` and
-        // `trace_meta`.
+        // A caller-supplied section lands after `derived`.
         assert!(json.contains("\"isa\": \"avx2+fma\""));
         // Stages with zero hits are omitted.
         assert!(!json.contains("\"baseline\""));
-        // Version 4: histograms and trace metadata. The parsed form is
+        // Version 4: histograms. The parsed form is
         // easier to interrogate than substring checks.
         let doc = Json::parse(&json).expect("report must emit valid JSON");
         let hist = doc.get("histograms").expect("histograms section");
@@ -263,11 +259,8 @@ mod tests {
         assert_eq!(op.get("buckets").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
         // Zero-sample sites are omitted.
         assert!(hist.get("engine_plan_hit").is_none());
-        let trace = doc.get("trace_meta").expect("trace_meta section");
-        assert_eq!(trace.get("trace_events_dropped").and_then(Json::as_u64), Some(0));
-        assert!(trace.get("ring_capacity").and_then(Json::as_u64).is_some());
         let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(&keys[keys.len() - 3..], ["derived", "dispatch", "trace_meta"]);
+        assert_eq!(&keys[keys.len() - 2..], ["derived", "dispatch"]);
     }
 
     #[test]
@@ -283,9 +276,10 @@ mod tests {
         for key in ["pool", "dispatch", "engine", "serve"] {
             assert!(doc.get(key).is_none(), "{key} is caller-supplied, not built in");
         }
-        // A default snapshot still carries the (all-zero) sections new in
-        // version 4, so consumers can rely on their presence.
+        // A default snapshot still carries the (empty) histograms section
+        // new in version 4, so consumers can rely on its presence.
         assert!(json.contains("\"histograms\": {}"));
-        assert!(json.contains("\"trace_events_dropped\": 0"));
+        let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys.last(), Some(&"derived"));
     }
 }

@@ -102,10 +102,6 @@ impl Job {
             if start >= self.end {
                 break;
             }
-            // Flight-recorder marker for the worker timeline: one
-            // begin/end pair per executed chunk, on this lane's own
-            // ring. A no-op (one relaxed load) unless tracing is on.
-            let _chunk_span = obs::trace_span(obs::Stage::WorkerChunk);
             let stop = (start + self.chunk).min(self.end);
             let t0 = Instant::now();
             for i in start..stop {
@@ -180,10 +176,9 @@ impl ThreadPool {
     }
 
     /// Like [`ThreadPool::new`], but worker threads are named
-    /// `{prefix}-{lane}`. The flight recorder labels each trace ring with
-    /// its thread's name, so pools owned by different subsystems (e.g. the
+    /// `{prefix}-{lane}`, so pools owned by different subsystems (e.g. the
     /// serving layer's batch pool vs. the global conv pool) stay
-    /// distinguishable in exported timelines.
+    /// distinguishable in OS tools (`top -H`, `perf`, debuggers).
     pub fn with_name(threads: usize, prefix: &str) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
@@ -245,13 +240,8 @@ impl ThreadPool {
             // still record caller-lane utilization so 1-CPU hosts get a
             // pool section in their metrics reports.
             let t0 = (!IN_WORKER.with(|f| f.get())).then(Instant::now);
-            {
-                // The serial path is one "chunk" on the caller lane; give it
-                // the same timeline marker the threaded path gets.
-                let _chunk_span = obs::trace_span(obs::Stage::WorkerChunk);
-                for i in 0..n {
-                    task(i);
-                }
+            for i in 0..n {
+                task(i);
             }
             if let Some(t0) = t0 {
                 let busy = t0.elapsed().as_nanos() as u64;
@@ -438,10 +428,6 @@ impl Drop for ThreadPool {
 
 fn worker_loop(shared: &Shared, lane: usize) {
     IN_WORKER.with(|f| f.set(true));
-    // Flight-recorder rings register lazily on the worker's first traced
-    // event, inheriting this thread's `iwino-worker-{lane}` name as the
-    // timeline label — no per-thread allocation unless tracing actually
-    // runs on this lane.
     let mut seen_epoch = 0u64;
     loop {
         let job = {

@@ -12,29 +12,16 @@
 //!   the job, and the pool runs the next job (these tests fail on a
 //!   timeout rather than hang when a lane is lost).
 //!
-//! Each test builds its own pool (never the global one), and a pool counts
-//! its own work with process-wide obs recording off, so the report totals
-//! are exact. Tests still serialize behind [`guard`] because the flight
-//! recorder is process-global: the pairing test needs every other pool in
-//! this binary quiet while it records and exports.
+//! Each test builds its own pool (never the global one) and reads only that
+//! pool's [`ThreadPool::report`], which counts its work with process-wide
+//! obs recording off, so the report totals are exact and the tests run
+//! concurrently without a guard.
 
-use iwino_obs::Json;
 use iwino_parallel::ThreadPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
-
-/// The flight-recorder gate and rings are process-global; the pairing test
-/// below must export a quiesced trace, so every test in this binary that
-/// runs a pool serializes here (they would otherwise interleave worker-chunk
-/// events from concurrent pools into the exported timeline, or leave a span
-/// open across the export). A lock only the pairing test took would
-/// exclude nothing.
-fn guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Skewed cost model: most indices are cheap, every 31st is ~300× the base,
 /// and every 97th is ~30 000× — the shape that makes fixed-size chunking
@@ -93,7 +80,6 @@ fn check_exactly_once(
 
 #[test]
 fn weighted_skewed_costs_cover_all_indices() {
-    let _g = guard();
     for threads in [1usize, 2, 4, 32] {
         let pool = ThreadPool::new(threads);
         for n in [1usize, 7, 97, 1000] {
@@ -107,7 +93,6 @@ fn weighted_skewed_costs_cover_all_indices() {
 
 #[test]
 fn weighted_zero_and_uniform_costs() {
-    let _g = guard();
     let pool = ThreadPool::new(4);
     // Zero costs are clamped to one — the splitter must not divide by zero
     // or emit a single giant piece by mistake.
@@ -123,7 +108,6 @@ fn weighted_zero_and_uniform_costs() {
 
 #[test]
 fn weighted_one_expensive_index_among_many() {
-    let _g = guard();
     // The adversarial profile: index 0 costs as much as everything else
     // combined. The splitter must still cover every index exactly once and
     // must not hand the whole range to one piece.
@@ -137,7 +121,6 @@ fn weighted_one_expensive_index_among_many() {
 
 #[test]
 fn uniform_costs_cover_all_indices_on_one_and_many_lanes() {
-    let _g = guard();
     for threads in [1usize, 32] {
         let pool = ThreadPool::new(threads);
         for n in [1000usize, 97, 5] {
@@ -152,7 +135,6 @@ fn uniform_costs_cover_all_indices_on_one_and_many_lanes() {
 
 #[test]
 fn single_thread_pool_runs_everything_on_caller() {
-    let _g = guard();
     let pool = ThreadPool::new(1);
     check_exactly_once(&pool, 300, |p, task| {
         p.run_chunked_weighted(300, &skewed_cost, task);
@@ -164,7 +146,6 @@ fn single_thread_pool_runs_everything_on_caller() {
 
 #[test]
 fn oversubscribed_pool_with_fewer_indices_than_lanes() {
-    let _g = guard();
     // 32 lanes, 9 indices: most lanes get nothing; nothing may be dropped
     // or duplicated and the report must still balance.
     let pool = ThreadPool::new(32);
@@ -181,74 +162,6 @@ fn empty_range_is_a_noop() {
         panic!("task must not run for n = 0")
     });
     assert_eq!(pool.report().jobs, 0);
-}
-
-#[test]
-fn trace_events_pair_up_across_skewed_workers() {
-    let _g = guard();
-    iwino_obs::reset_trace();
-    iwino_obs::set_trace_enabled(true);
-    let pool = ThreadPool::new(4);
-    pool.reset_stats();
-    // Deliberately skewed and slow enough that worker lanes get scheduled:
-    // the caller cannot race through every chunk before the workers wake.
-    for _ in 0..3 {
-        pool.run_chunked_weighted(64, &|i| if i.is_multiple_of(9) { 50 } else { 1 }, &|range| {
-            for _ in range {
-                std::thread::sleep(std::time::Duration::from_micros(300));
-            }
-        });
-    }
-    iwino_obs::set_trace_enabled(false);
-    let doc = iwino_obs::export_chrome_trace();
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents array");
-
-    // Per-tid begin/end pairing: every E must close the B on top of its
-    // thread's stack, and no stack may be left open — even though lanes
-    // start, claim and finish chunks at completely different times.
-    let mut stacks: std::collections::BTreeMap<u64, Vec<String>> = std::collections::BTreeMap::new();
-    let mut chunk_tids: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    for e in events {
-        let ph = e.get("ph").and_then(Json::as_str).expect("ph");
-        if ph == "M" {
-            continue;
-        }
-        let tid = e.get("tid").and_then(Json::as_u64).expect("tid");
-        let name = e.get("name").and_then(Json::as_str).expect("name").to_string();
-        match ph {
-            "B" => {
-                if name == "worker_chunk" {
-                    chunk_tids.insert(tid);
-                }
-                stacks.entry(tid).or_default().push(name);
-            }
-            "E" => assert_eq!(
-                stacks.get_mut(&tid).and_then(Vec::pop),
-                Some(name),
-                "E without matching B"
-            ),
-            other => panic!("unexpected ph {other:?}"),
-        }
-    }
-    for (tid, stack) in &stacks {
-        assert!(stack.is_empty(), "tid {tid} left unclosed events: {stack:?}");
-    }
-
-    // Every lane that executed chunks (per the pool's own accounting) must
-    // have produced worker-chunk events on its own ring — the per-worker
-    // registration the timeline story depends on.
-    let active_lanes = pool.report().workers.iter().filter(|w| w.chunks > 0).count();
-    assert!(active_lanes >= 1);
-    assert_eq!(
-        chunk_tids.len(),
-        active_lanes,
-        "each active lane must trace on its own ring"
-    );
-    assert!(iwino_obs::trace_meta().dropped == 0, "this workload fits the ring");
-    iwino_obs::reset_trace();
 }
 
 /// Run `body` on a thread of its own and fail, instead of hanging, if it
@@ -271,7 +184,6 @@ fn within(secs: u64, body: impl FnOnce() + Send + 'static) {
 
 #[test]
 fn worker_lane_panic_reaches_the_caller_and_the_next_job_runs() {
-    let _g = guard();
     within(60, || {
         let worker_started = AtomicU32::new(0);
         let pool = ThreadPool::new(2);
@@ -301,7 +213,6 @@ fn worker_lane_panic_reaches_the_caller_and_the_next_job_runs() {
 
 #[test]
 fn caller_lane_panic_waits_for_every_worker_chunk() {
-    let _g = guard();
     within(60, || {
         // Declared before the pool so they outlive its workers on every path.
         let started = AtomicU64::new(0);

@@ -35,15 +35,6 @@ echo "== property tests (fixed PROPTEST_CASES budget) =="
 # deeper here than in the quick workspace pass, and reproducible.
 PROPTEST_CASES=64 cargo test --offline -q --test gamma_conformance
 
-echo "== flight-recorder trace validity (native + forced-scalar dispatch) =="
-# Explicit acceptance run of the Chrome Trace gate on both dispatch lanes
-# (also part of the workspace passes above; named here so a trace-format
-# break is attributed immediately instead of surfacing as a generic test
-# failure): a real engine capture must round-trip through the parser and
-# pass iwino_obs::validate_chrome_trace.
-cargo test --offline -q -p iwino-engine --test trace
-IWINO_FORCE_SCALAR=1 cargo test --offline -q -p iwino-engine --test trace
-
 echo "== serve concurrency net (native + forced-scalar dispatch) =="
 # Explicit acceptance run of the batch-serving net (also part of the
 # workspace passes above; named so a serving break is attributed
